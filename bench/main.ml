@@ -1794,8 +1794,14 @@ let micro () =
      connections spread across the whole population at each checkpoint.
      The aggregate tables blow through L3 somewhere past the first
      million connections — the Fig 8 'single-core line dips as state
-     outgrows cache' effect, here as a pps-vs-load-factor curve. *)
+     outgrows cache' effect, here as a pps-vs-load-factor curve. A point
+     is skipped when the previous point's measured table bytes per
+     connection, scaled to its target, would exceed [sweep_budget], so
+     the sweep fits the box it runs on. *)
   let sweep_points = [| 100_000; 300_000; 1_000_000; 3_000_000; 10_000_000 |] in
+  let sweep_budget = 2 * 1024 * 1024 * 1024 in
+  let mib b = b /. (1024. *. 1024.) in
+  let bytes_per_conn = ref 0. in
   let sweep_seed = 0xACC in
   let sweep_fab, sweep_entry, sweep_fwd =
     build_chaos_fabric (module Fabric) ~flow_store:Fabric.Local
@@ -1805,53 +1811,56 @@ let micro () =
   let sweep_rows =
     Array.map
       (fun target ->
-        while !inserted < target do
-          let tp = Packet.random_tuple sweep_gen in
-          let label, ein, eg = sweep_entry.(!inserted mod 3) in
-          ignore
-            (Fabric.drive sweep_fab ~ingress:ein ~chain_label:label
-               ~egress_label:eg ~size:500 tp);
-          incr inserted
-        done;
-        let entries = ref 0 and cap = ref 0 and probe = ref 0 in
-        Array.iter
-          (fun f ->
-            let c, k, p = Fabric.flow_table_stats sweep_fab ~forwarder:f in
-            entries := !entries + c;
-            cap := !cap + k;
-            probe := max !probe p)
-          sweep_fwd;
-        (* Re-generate the tuple stream to pick an evenly spread sample
-           of established connections, then time the warm path over it. *)
-        let sample_n = 4096 in
-        let stride = max 1 (target / sample_n) in
-        let sample = Array.make sample_n (sweep_entry.(0), chaos_tuples.(0)) in
-        let re = Rng.create sweep_seed in
-        let filled = ref 0 in
-        for j = 0 to target - 1 do
-          let tp = Packet.random_tuple re in
-          if j mod stride = 0 && !filled < sample_n then begin
-            sample.(!filled) <- (sweep_entry.(j mod 3), tp);
-            incr filled
-          end
-        done;
-        let passes = 3 in
-        let w =
-          wall (fun () ->
-              for _ = 1 to passes do
-                for i = 0 to !filled - 1 do
-                  let (label, ein, eg), tp = sample.(i) in
-                  ignore
-                    (Fabric.drive sweep_fab ~ingress:ein ~chain_label:label
-                       ~egress_label:eg ~size:500 tp)
-                done
-              done)
-        in
-        let pps = float_of_int (passes * !filled) /. w in
-        (* 5 word-sized parallel arrays per table slot (hash keys, next,
-           prev, full hash, chain link). *)
-        let mib = float_of_int (!cap * 5 * 8) /. (1024. *. 1024.) in
-        (target, !entries, !cap, !probe, mib, pps))
+        let projected = !bytes_per_conn *. float_of_int target in
+        if projected > float_of_int sweep_budget then `Skipped (target, projected)
+        else begin
+          while !inserted < target do
+            let tp = Packet.random_tuple sweep_gen in
+            let label, ein, eg = sweep_entry.(!inserted mod 3) in
+            ignore
+              (Fabric.drive sweep_fab ~ingress:ein ~chain_label:label
+                 ~egress_label:eg ~size:500 tp);
+            incr inserted
+          done;
+          let entries = ref 0 and cap = ref 0 and probe = ref 0 in
+          Array.iter
+            (fun f ->
+              let c, k, p = Fabric.flow_table_stats sweep_fab ~forwarder:f in
+              entries := !entries + c;
+              cap := !cap + k;
+              probe := max !probe p)
+            sweep_fwd;
+          (* Re-generate the tuple stream to pick an evenly spread sample
+             of established connections, then time the warm path over it. *)
+          let sample_n = 4096 in
+          let stride = max 1 (target / sample_n) in
+          let sample = Array.make sample_n (sweep_entry.(0), chaos_tuples.(0)) in
+          let re = Rng.create sweep_seed in
+          let filled = ref 0 in
+          for j = 0 to target - 1 do
+            let tp = Packet.random_tuple re in
+            if j mod stride = 0 && !filled < sample_n then begin
+              sample.(!filled) <- (sweep_entry.(j mod 3), tp);
+              incr filled
+            end
+          done;
+          let passes = 3 in
+          let w =
+            wall (fun () ->
+                for _ = 1 to passes do
+                  for i = 0 to !filled - 1 do
+                    let (label, ein, eg), tp = sample.(i) in
+                    ignore
+                      (Fabric.drive sweep_fab ~ingress:ein ~chain_label:label
+                         ~egress_label:eg ~size:500 tp)
+                  done
+                done)
+          in
+          let pps = float_of_int (passes * !filled) /. w in
+          let bytes = float_of_int (Fabric.flow_table_bytes sweep_fab) in
+          bytes_per_conn := bytes /. float_of_int target;
+          `Measured (target, !entries, !cap, !probe, mib bytes, pps)
+        end)
       sweep_points
   in
   let ot =
@@ -1859,16 +1868,28 @@ let micro () =
       ~header:[ "connections"; "entries"; "load factor"; "max probe"; "tables MiB"; "warm Mpps" ]
   in
   Array.iter
-    (fun (target, entries, cap, probe, mib, pps) ->
-      Table.add_row ot
-        [
-          string_of_int target;
-          string_of_int entries;
-          Printf.sprintf "%.3f" (float_of_int entries /. float_of_int (max 1 cap));
-          string_of_int probe;
-          Printf.sprintf "%.1f" mib;
-          Printf.sprintf "%.2f" (pps /. 1e6);
-        ])
+    (function
+      | `Measured (target, entries, cap, probe, tables_mib, pps) ->
+        Table.add_row ot
+          [
+            string_of_int target;
+            string_of_int entries;
+            Printf.sprintf "%.3f" (float_of_int entries /. float_of_int (max 1 cap));
+            string_of_int probe;
+            Printf.sprintf "%.1f" tables_mib;
+            Printf.sprintf "%.2f" (pps /. 1e6);
+          ]
+      | `Skipped (target, projected) ->
+        Table.add_row ot
+          [
+            string_of_int target;
+            "skipped";
+            "-";
+            "-";
+            Printf.sprintf "%.0f > budget %.0f" (mib projected)
+              (mib (float_of_int sweep_budget));
+            "-";
+          ])
     sweep_rows;
   Printf.printf "\nflow-table occupancy sweep (packed plane, Local store):\n";
   Table.print ot;
@@ -1925,14 +1946,20 @@ let micro () =
       (String.concat ",\n"
          (Array.to_list
             (Array.map
-               (fun (target, entries, cap, probe, mib, pps) ->
-                 Printf.sprintf
-                   "    {\"connections\": %d, \"entries\": %d, \"capacity\": %d, \
-                    \"load_factor\": %.4f, \"max_probe\": %d, \"tables_mib\": %.1f, \
-                    \"warm_pps\": %.0f}"
-                   target entries cap
-                   (float_of_int entries /. float_of_int (max 1 cap))
-                   probe mib pps)
+               (function
+                 | `Measured (target, entries, cap, probe, tables_mib, pps) ->
+                   Printf.sprintf
+                     "    {\"connections\": %d, \"entries\": %d, \"capacity\": %d, \
+                      \"load_factor\": %.4f, \"max_probe\": %d, \"tables_mib\": %.1f, \
+                      \"warm_pps\": %.0f}"
+                     target entries cap
+                     (float_of_int entries /. float_of_int (max 1 cap))
+                     probe tables_mib pps
+                 | `Skipped (target, projected) ->
+                   Printf.sprintf
+                     "    {\"connections\": %d, \"skipped\": true, \
+                      \"projected_tables_mib\": %.1f, \"budget_mib\": %.0f}"
+                     target (mib projected) (mib (float_of_int sweep_budget)))
                sweep_rows)));
     close_out oc;
     print_endline "wrote BENCH_fabric_shard.json"

@@ -39,6 +39,11 @@ val create : ?seed:int -> ?flow_store:flow_store -> unit -> t
 (** [seed] drives the weighted load-balancing choices; [flow_store]
     defaults to {!Local}. *)
 
+val max_entities : int
+(** [2^29]: the [add_*] functions share one id counter and raise
+    [Invalid_argument] once this many entities exist (flow-table cells
+    pack endpoint ids into 31 bits, see {!Plane.max_entities}). *)
+
 (** {2 Building the fabric} *)
 
 val add_site : t -> string -> int
@@ -171,6 +176,10 @@ val flow_table_stats : t -> forwarder:int -> int * int * int
     occupancy for telemetry and the cache-cliff bench. See
     {!Plane.flow_table_stats}. *)
 
+val flow_table_bytes : t -> int
+(** Heap bytes held by all of the fabric's flow tables (capacity, not
+    occupancy). See {!Plane.flow_table_bytes}. *)
+
 val mutations : t -> int
 (** Journal entries applied to the packed arrays so far (rule installs and
     topology mutations) — introspection for tests and benchmarks. *)
@@ -251,7 +260,8 @@ val set_clock : t -> int -> unit
 (** Set the logical timestamp packets stamp onto the flow-table entries
     they touch (scenario drivers advance it once per tick). Never
     consulted on the packet path's control flow, so traces and balancer
-    draws are unchanged by the clock. *)
+    draws are unchanged by the clock. Raises [Invalid_argument] on a tick
+    below 0 or at or above [2^31] (the stamp is packed into 31 bits). *)
 
 val clock : t -> int
 

@@ -11,10 +11,10 @@
    - cumulative weights are precomputed at install time
      ({!Balancer.cumulative}), so a balancer draw is one RNG advance and a
      binary search — bit-identical to {!Balancer.pick} over the same rule
-   - connection state is an open-addressed table of int-packed flow keys
-     (hash of labels + stage + 5-tuple), with per-connection chains for
-     O(stages) teardown; Replicated mode keeps the same stores per DHT
-     node under a consistent-hash ring
+   - connection state is an open-addressed table of four-word cells in
+     one int array (flow key, packed next/prev, connection hash, clock
+     stamp + chain link), with per-connection chains for O(stages)
+     teardown; Replicated mode keeps the same stores per DHT node
    - dynamic mutations (rule reinstall, weight change, fail/revive/
      reattach) append to the arena / patch the arrays in place — a
      mutation journal rather than a recompile; the arena compacts itself
@@ -28,7 +28,9 @@
    structural hash. Placement is unobservable through this API — the ring
    re-replicates on every membership change, so any single forwarder
    failure loses nothing at replication >= 2, whichever nodes held the
-   key. *)
+   key. Flow state is keyed by hashes where the seed used structural
+   keys: a hit matches both the flow key and the connection hash, so only
+   two 5-tuples with one [Packet.tuple_hash] can share state. *)
 
 type endpoint = Edge of int | Forwarder of int | Vnf_instance of int
 
@@ -73,9 +75,10 @@ let unpack pe =
 
 (* A flow key is the avalanche hash of (chain, egress, role stage,
    5-tuple), clamped to >= 2 so 0/1 can mark empty/tombstone table cells.
-   Distinct keys colliding in 61 bits is astronomically unlikely at
-   simulation scale; the compiled tables accept that in exchange for
-   never boxing a key. *)
+   The key alone does not identify a connection: two connections on
+   different (chain, egress) labels can share a key, so a lookup also
+   compares the cell's stored connection hash (the check word, see
+   [ftab_find]). *)
 
 let key_base ~chain_label ~egress_label fh =
   Packet.mix (fh lxor Packet.mix ((chain_label * 0x9E3779B1) lxor egress_label))
@@ -84,74 +87,84 @@ let key_hash base stage =
   let h = Packet.mix (base lxor (stage * 0x85EBCA6B)) in
   if h < 2 then h + 2 else h
 
+(* Packed endpoints and clock stamps share a word with another field, so
+   each gets 31 bits: entity ids stay below [max_entities] (a packed
+   endpoint is [id lsl 2 lor tag]) and clock ticks below [2^31]. *)
+let lo31 = (1 lsl 31) - 1
+let max_entities = 1 lsl 29
+
 (* ------------------ open-addressed int -> int map ------------------- *)
 
-(* Used for the per-connection chain heads of a flow table. Cell states in
-   [mk]: 0 empty, 1 tombstone, else the key (>= 2). *)
+(* Used for the per-connection chain heads of a flow table. One two-word
+   cell per entry in [mc]: the key (0 empty, 1 tombstone, else the key,
+   >= 2) then its value. *)
 type fmap = {
   mutable mmask : int;
   mutable mn : int;
   mutable mtomb : int;
-  mutable mk : int array;
-  mutable mv : int array;
+  mutable mc : int array;
 }
 
-let fmap_create cap = { mmask = cap - 1; mn = 0; mtomb = 0; mk = Array.make cap 0; mv = Array.make cap 0 }
+let fmap_create cap = { mmask = cap - 1; mn = 0; mtomb = 0; mc = Array.make (2 * cap) 0 }
 
 let fmap_find m k =
+  let c = m.mc in
   let i = ref (k land m.mmask) in
   let r = ref (-2) in
   while !r = -2 do
-    let c = m.mk.(!i) in
-    if c = 0 then r := -1
-    else if c = k then r := m.mv.(!i)
+    let ck = c.(2 * !i) in
+    if ck = 0 then r := -1
+    else if ck = k then r := c.((2 * !i) + 1)
     else i := (!i + 1) land m.mmask
   done;
   !r
 
 let rec fmap_put m k v =
   if (m.mn + m.mtomb + 1) * 4 > (m.mmask + 1) * 3 then begin
-    let ok = m.mk and ov = m.mv in
+    let old = m.mc in
     let cap = if (m.mn + 1) * 2 > m.mmask + 1 then (m.mmask + 1) * 2 else m.mmask + 1 in
-    m.mk <- Array.make cap 0;
-    m.mv <- Array.make cap 0;
+    m.mc <- Array.make (2 * cap) 0;
     m.mmask <- cap - 1;
     m.mn <- 0;
     m.mtomb <- 0;
-    Array.iteri (fun i c -> if c >= 2 then fmap_put m c ov.(i)) ok
+    for i = 0 to (Array.length old / 2) - 1 do
+      if old.(2 * i) >= 2 then fmap_put m old.(2 * i) old.((2 * i) + 1)
+    done
   end;
+  let c = m.mc in
   let i = ref (k land m.mmask) in
   let ins = ref (-1) in
   let fin = ref false in
   while not !fin do
-    let c = m.mk.(!i) in
-    if c = k then begin
-      m.mv.(!i) <- v;
+    let ck = c.(2 * !i) in
+    if ck = k then begin
+      c.((2 * !i) + 1) <- v;
       fin := true;
       ins := -1
     end
-    else if c = 0 then fin := true
+    else if ck = 0 then fin := true
     else begin
-      if c = 1 && !ins < 0 then ins := !i;
+      if ck = 1 && !ins < 0 then ins := !i;
       i := (!i + 1) land m.mmask
     end
   done;
-  if m.mk.(!i) <> k then begin
+  if c.(2 * !i) <> k then begin
     let at = if !ins >= 0 then !ins else !i in
-    if m.mk.(at) = 1 then m.mtomb <- m.mtomb - 1;
-    m.mk.(at) <- k;
-    m.mv.(at) <- v;
+    if c.(2 * at) = 1 then m.mtomb <- m.mtomb - 1;
+    c.(2 * at) <- k;
+    c.((2 * at) + 1) <- v;
     m.mn <- m.mn + 1
   end
 
 let fmap_remove m k =
+  let c = m.mc in
   let i = ref (k land m.mmask) in
   let fin = ref false in
   while not !fin do
-    let c = m.mk.(!i) in
-    if c = 0 then fin := true
-    else if c = k then begin
-      m.mk.(!i) <- 1;
+    let ck = c.(2 * !i) in
+    if ck = 0 then fin := true
+    else if ck = k then begin
+      c.(2 * !i) <- 1;
       m.mtomb <- m.mtomb + 1;
       m.mn <- m.mn - 1;
       fin := true
@@ -160,29 +173,34 @@ let fmap_remove m k =
   done
 
 let fmap_clear m =
-  Array.fill m.mk 0 (Array.length m.mk) 0;
+  Array.fill m.mc 0 (Array.length m.mc) 0;
   m.mn <- 0;
   m.mtomb <- 0
 
 (* ----------------------- packed flow table -------------------------- *)
 
-(* Parallel arrays per cell: key hash ([hk]: 0 empty, 1 tombstone), packed
-   next/prev endpoints, the connection hash, the next cell of the same
-   connection ([flink], -1 ends the chain) for O(stages) teardown, and the
-   logical clock of the cell's last activity ([fage]) for idle expiry. *)
+(* One four-word cell per entry in [cells], so a hit reads and stamps a
+   single cell (slot [s] starts at word [4 * s]):
+   - word 0: the flow key (0 empty, 1 tombstone, else >= 2);
+   - word 1: [next lor (prev lsl 31)], the packed next/prev endpoints;
+   - word 2: the connection hash — the check word a hit must match, and
+     the connection's id in the [heads] index;
+   - word 3: [(age lsl 31) lor (link + 1)], the logical clock of the
+     cell's last activity (for idle expiry) and the next cell of the same
+     connection ([link = -1] ends the chain) for O(stages) teardown.
+   An all-zero cell is empty with no link. *)
 type ftab = {
   mutable fcap : int;
   mutable fmask : int;
   mutable fn : int;
   mutable ftomb : int;
-  mutable hk : int array;
-  mutable fnx : int array;
-  mutable fpv : int array;
-  mutable ffh : int array;
-  mutable flink : int array;
-  mutable fage : int array;
+  mutable cells : int array;
   heads : fmap;
 }
+
+(* Slot indices share word 3 with the clock, so a table stops at 2^30
+   cells (32 GiB of cells). *)
+let max_cells = 1 lsl 30
 
 let ftab_create () =
   let cap = 64 in
@@ -191,91 +209,82 @@ let ftab_create () =
     fmask = cap - 1;
     fn = 0;
     ftomb = 0;
-    hk = Array.make cap 0;
-    fnx = Array.make cap 0;
-    fpv = Array.make cap 0;
-    ffh = Array.make cap 0;
-    flink = Array.make cap (-1);
-    fage = Array.make cap 0;
+    cells = Array.make (4 * cap) 0;
     heads = fmap_create cap;
   }
 
-let ftab_find tab h =
+let cell_next c s = c.((4 * s) + 1) land lo31
+let cell_prev c s = c.((4 * s) + 1) lsr 31
+let cell_age c s = c.((4 * s) + 3) lsr 31
+let cell_link c s = (c.((4 * s) + 3) land lo31) - 1
+let set_hops c s nxt prv = c.((4 * s) + 1) <- nxt lor (prv lsl 31)
+let stamp c s now = c.((4 * s) + 3) <- (now lsl 31) lor (c.((4 * s) + 3) land lo31)
+
+(* A hit needs both the key and the connection hash to match. *)
+let ftab_find tab h fh =
+  let c = tab.cells in
   let i = ref (h land tab.fmask) in
   let r = ref (-2) in
   while !r = -2 do
-    let c = tab.hk.(!i) in
-    if c = 0 then r := -1
-    else if c = h then r := !i
+    let k = c.(4 * !i) in
+    if k = 0 then r := -1
+    else if k = h && c.((4 * !i) + 2) = fh then r := !i
     else i := (!i + 1) land tab.fmask
   done;
   !r
 
-(* Raw insert of a key known to be absent; chain linking is the caller's
-   job (used by grow, which relinks everything anyway). *)
-let ftab_place tab h fh nxt prv =
+(* Insert an entry known to be absent as the new head of its
+   connection's chain. *)
+let ftab_insert tab h fh nxt prv age =
+  let c = tab.cells in
   let i = ref (h land tab.fmask) in
-  while tab.hk.(!i) >= 2 do
+  while c.(4 * !i) >= 2 do
     i := (!i + 1) land tab.fmask
   done;
-  if tab.hk.(!i) = 1 then tab.ftomb <- tab.ftomb - 1;
-  tab.hk.(!i) <- h;
-  tab.fnx.(!i) <- nxt;
-  tab.fpv.(!i) <- prv;
-  tab.ffh.(!i) <- fh;
-  tab.flink.(!i) <- -1;
+  let b = 4 * !i in
+  if c.(b) = 1 then tab.ftomb <- tab.ftomb - 1;
+  c.(b) <- h;
+  c.(b + 1) <- nxt lor (prv lsl 31);
+  c.(b + 2) <- fh;
+  c.(b + 3) <- (age lsl 31) lor (fmap_find tab.heads fh + 1);
   tab.fn <- tab.fn + 1;
-  !i
+  fmap_put tab.heads fh !i
 
 let ftab_grow tab =
-  let ohk = tab.hk and onx = tab.fnx and opv = tab.fpv and ofh = tab.ffh in
-  let ofa = tab.fage in
+  let old = tab.cells and ocap = tab.fcap in
   let cap = if (tab.fn + 1) * 2 > tab.fcap then tab.fcap * 2 else tab.fcap in
+  if cap > max_cells then invalid_arg "Plane: flow table full (2^30 cells)";
   tab.fcap <- cap;
   tab.fmask <- cap - 1;
   tab.fn <- 0;
   tab.ftomb <- 0;
-  tab.hk <- Array.make cap 0;
-  tab.fnx <- Array.make cap 0;
-  tab.fpv <- Array.make cap 0;
-  tab.ffh <- Array.make cap 0;
-  tab.flink <- Array.make cap (-1);
-  tab.fage <- Array.make cap 0;
+  tab.cells <- Array.make (4 * cap) 0;
   fmap_clear tab.heads;
-  Array.iteri
-    (fun i h ->
-      if h >= 2 then begin
-        let s = ftab_place tab h ofh.(i) onx.(i) opv.(i) in
-        tab.fage.(s) <- ofa.(i);
-        let head = fmap_find tab.heads ofh.(i) in
-        tab.flink.(s) <- head;
-        fmap_put tab.heads ofh.(i) s
-      end)
-    ohk
+  for i = 0 to ocap - 1 do
+    let h = old.(4 * i) in
+    if h >= 2 then
+      ftab_insert tab h old.((4 * i) + 2) (cell_next old i) (cell_prev old i) (cell_age old i)
+  done
 
 let ftab_set tab h fh nxt prv age =
-  let s = ftab_find tab h in
+  let s = ftab_find tab h fh in
   if s >= 0 then begin
-    tab.fnx.(s) <- nxt;
-    tab.fpv.(s) <- prv;
-    tab.fage.(s) <- age
+    set_hops tab.cells s nxt prv;
+    stamp tab.cells s age
   end
   else begin
     if (tab.fn + tab.ftomb + 1) * 4 > tab.fcap * 3 then ftab_grow tab;
-    let s = ftab_place tab h fh nxt prv in
-    tab.fage.(s) <- age;
-    let head = fmap_find tab.heads fh in
-    tab.flink.(s) <- head;
-    fmap_put tab.heads fh s
+    ftab_insert tab h fh nxt prv age
   end
 
 let ftab_remove_flow tab fh =
   let s = ref (fmap_find tab.heads fh) in
   if !s >= 0 then begin
+    let c = tab.cells in
     while !s >= 0 do
-      let nxt = tab.flink.(!s) in
-      if tab.hk.(!s) >= 2 then begin
-        tab.hk.(!s) <- 1;
+      let nxt = cell_link c !s in
+      if c.(4 * !s) >= 2 then begin
+        c.(4 * !s) <- 1;
         tab.ftomb <- tab.ftomb + 1;
         tab.fn <- tab.fn - 1
       end;
@@ -285,7 +294,7 @@ let ftab_remove_flow tab fh =
   end
 
 let ftab_clear tab =
-  Array.fill tab.hk 0 tab.fcap 0;
+  Array.fill tab.cells 0 (Array.length tab.cells) 0;
   tab.fn <- 0;
   tab.ftomb <- 0;
   fmap_clear tab.heads
@@ -297,14 +306,15 @@ let ftab_clear tab =
    returns connections removed from this table. *)
 let ftab_expire tab ~idle_before =
   let removed = ref 0 in
+  let c = tab.cells in
   for i = 0 to tab.fcap - 1 do
-    if tab.hk.(i) >= 2 && tab.fage.(i) < idle_before then begin
-      let fh = tab.ffh.(i) in
+    if c.(4 * i) >= 2 && cell_age c i < idle_before then begin
+      let fh = c.((4 * i) + 2) in
       let fresh = ref false in
       let s = ref (fmap_find tab.heads fh) in
       while !s >= 0 do
-        if tab.hk.(!s) >= 2 && tab.fage.(!s) >= idle_before then fresh := true;
-        s := tab.flink.(!s)
+        if c.(4 * !s) >= 2 && cell_age c !s >= idle_before then fresh := true;
+        s := cell_link c !s
       done;
       if not !fresh then begin
         ftab_remove_flow tab fh;
@@ -313,6 +323,9 @@ let ftab_expire tab ~idle_before =
     end
   done;
   !removed
+
+let ftab_bytes tab =
+  (Array.length tab.cells + Array.length tab.heads.mc) * (Sys.word_size / 8)
 
 (* --------------------- (chain, egress, stage) ids ------------------- *)
 
@@ -530,7 +543,7 @@ let dht_create ~replication =
   if replication <= 0 then invalid_arg "Dht_table.create: replication must be positive";
   { repl = replication; members = [||]; stores = [||]; hit = dummy_ftab }
 
-let dht_find d h =
+let dht_find d h fh =
   let n = Array.length d.members in
   let k = if d.repl < n then d.repl else n in
   let r = ref (-1) in
@@ -539,12 +552,36 @@ let dht_find d h =
     let j = ref 0 in
     while !r < 0 && !j < k do
       let st = d.stores.((start + !j) mod n) in
-      let s = ftab_find st h in
+      let s = ftab_find st h fh in
       if s >= 0 then begin
         d.hit <- st;
         r := s
       end;
       incr j
+    done
+  end;
+  !r
+
+(* [dht_find] for a packet: stamps [now] onto every replica of the entry,
+   not only the one that answers, so an idle sweep never expires the
+   copies of a live connection and a later owner failure still finds
+   them. *)
+let dht_touch d h fh now =
+  let n = Array.length d.members in
+  let k = if d.repl < n then d.repl else n in
+  let r = ref (-1) in
+  if n > 0 then begin
+    let start = h mod n in
+    for j = 0 to k - 1 do
+      let st = d.stores.((start + j) mod n) in
+      let s = ftab_find st h fh in
+      if s >= 0 then begin
+        stamp st.cells s now;
+        if !r < 0 then begin
+          d.hit <- st;
+          r := s
+        end
+      end
     done
   end;
   !r
@@ -562,13 +599,16 @@ let dht_rereplicate d =
   let all = Hashtbl.create 256 in
   Array.iter
     (fun st ->
+      let c = st.cells in
       for s = 0 to st.fcap - 1 do
-        if st.hk.(s) >= 2 then
-          Hashtbl.replace all st.hk.(s) (st.ffh.(s), st.fnx.(s), st.fpv.(s), st.fage.(s))
+        if c.(4 * s) >= 2 then
+          Hashtbl.replace all
+            (c.(4 * s), c.((4 * s) + 2))
+            (cell_next c s, cell_prev c s, cell_age c s)
       done)
     d.stores;
   Array.iter ftab_clear d.stores;
-  Hashtbl.iter (fun h (fh, nxt, prv, age) -> dht_put d h fh nxt prv age) all
+  Hashtbl.iter (fun (h, fh) (nxt, prv, age) -> dht_put d h fh nxt prv age) all
 
 let dht_add_node d node =
   d.members <- Array.append d.members [| node |];
@@ -694,6 +734,7 @@ let ensure_id t id =
 
 let fresh t =
   let id = t.next_id in
+  if id >= max_entities then invalid_arg "Plane: entity ids exhausted (2^29)";
   t.next_id <- id + 1;
   ensure_id t id;
   id
@@ -973,7 +1014,7 @@ let ftab_stats tab =
      live entry from its home slot, plus one for the hit itself. *)
   let maxp = ref 0 in
   for i = 0 to tab.fcap - 1 do
-    let h = tab.hk.(i) in
+    let h = tab.cells.(4 * i) in
     if h >= 2 then begin
       let d = (i - (h land tab.fmask)) land tab.fmask in
       if d + 1 > !maxp then maxp := d + 1
@@ -982,6 +1023,16 @@ let ftab_stats tab =
   (tab.fn, tab.fcap, !maxp)
 
 let flow_table_stats t ~forwarder = ftab_stats t.f_tab.(get_fd t forwarder)
+
+let flow_table_bytes t =
+  let b = ref 0 in
+  for fd = 0 to t.nf - 1 do
+    b := !b + ftab_bytes t.f_tab.(fd)
+  done;
+  (match t.dht with
+  | Some d -> Array.iter (fun st -> b := !b + ftab_bytes st) d.stores
+  | None -> ());
+  !b
 
 let mutations t = t.journal
 
@@ -1122,17 +1173,14 @@ let forward_core t ~record ~ingress ~chain_label ~egress_label ~size flow =
           (match t.dht with
           | None ->
             let tab = t.f_tab.(fd) in
-            let s = ftab_find tab h in
+            let s = ftab_find tab h fh in
             if s >= 0 then begin
-              next := tab.fnx.(s);
-              tab.fage.(s) <- t.now
+              next := cell_next tab.cells s;
+              stamp tab.cells s t.now
             end
           | Some d ->
-            let s = dht_find d h in
-            if s >= 0 then begin
-              next := d.hit.fnx.(s);
-              d.hit.fage.(s) <- t.now
-            end);
+            let s = dht_touch d h fh t.now in
+            if s >= 0 then next := cell_next d.hit.cells s);
           if !next = 0 then begin
             (* Flow miss: consult the rules. A packet handed over by a
                peer forwarder is mid-relay — prefer a non-empty
@@ -1219,33 +1267,23 @@ let drive t ~ingress ~chain_label ~egress_label ~size flow =
    the receiver-side entry unless it names this forwarder as the sender it
    received from (then this forwarder was the sender). Returns the packed
    prev hop, or 0. *)
-let find_prev t fd fwd_global base stage =
+let find_prev t fd fwd_global fh base stage =
   match t.dht with
   | None ->
     let tab = t.f_tab.(fd) in
-    let s = ftab_find tab (key_hash base stage) in
+    let s = ftab_find tab (key_hash base stage) fh in
     if s >= 0 then begin
-      tab.fage.(s) <- t.now;
-      tab.fpv.(s)
+      stamp tab.cells s t.now;
+      cell_prev tab.cells s
     end
     else 0
   | Some d ->
-    let s1 = dht_find d (key_hash base ((2 * stage) + 1)) in
-    let prv1 =
-      if s1 >= 0 then begin
-        d.hit.fage.(s1) <- t.now;
-        d.hit.fpv.(s1)
-      end
-      else 0
-    in
+    let s1 = dht_touch d (key_hash base ((2 * stage) + 1)) fh t.now in
+    let prv1 = if s1 >= 0 then cell_prev d.hit.cells s1 else 0 in
     if s1 >= 0 && prv1 <> (fwd_global lsl 2) lor tag_fwd then prv1
     else begin
-      let s0 = dht_find d (key_hash base (2 * stage)) in
-      if s0 >= 0 then begin
-        d.hit.fage.(s0) <- t.now;
-        d.hit.fpv.(s0)
-      end
-      else 0
+      let s0 = dht_touch d (key_hash base (2 * stage)) fh t.now in
+      if s0 >= 0 then cell_prev d.hit.cells s0 else 0
     end
 
 let reverse_core t ~record ~egress ~chain_label ~egress_label flow =
@@ -1262,13 +1300,13 @@ let reverse_core t ~record ~egress ~chain_label ~egress_label flow =
     | None ->
       let tab = t.f_tab.(efd) in
       for stage = 0 to max_ttl do
-        if ftab_find tab (key_hash base stage) >= 0 then last_stage := stage
+        if ftab_find tab (key_hash base stage) fh >= 0 then last_stage := stage
       done
     | Some d ->
       for stage = 0 to 32 do
         if
-          dht_find d (key_hash base (2 * stage)) >= 0
-          || dht_find d (key_hash base ((2 * stage) + 1)) >= 0
+          dht_find d (key_hash base (2 * stage)) fh >= 0
+          || dht_find d (key_hash base ((2 * stage) + 1)) fh >= 0
         then last_stage := stage
       done);
     if !last_stage < 0 then begin
@@ -1292,7 +1330,7 @@ let reverse_core t ~record ~egress ~chain_label ~egress_label flow =
           end
           else begin
             if record then t.last_trace <- Forwarder !fwd :: t.last_trace;
-            let prev = find_prev t fd !fwd base !stage in
+            let prev = find_prev t fd !fwd fh base !stage in
             if prev = 0 then begin
               t.err_a <- !fwd;
               t.err_b <- !stage;
@@ -1355,7 +1393,10 @@ let end_flow t flow =
   | Some d -> Array.iter (fun st -> ftab_remove_flow st fh) d.stores
   | None -> ()
 
-let set_clock t now = t.now <- now
+let set_clock t now =
+  if now < 0 || now > lo31 then invalid_arg "Plane.set_clock: tick outside [0, 2^31)";
+  t.now <- now
+
 let clock t = t.now
 
 let expire_flows t ~idle_before =
@@ -1374,8 +1415,9 @@ let instance_flow_count t instance =
   let pi = (instance lsl 2) lor tag_inst in
   let count = ref 0 in
   let scan tab =
+    let c = tab.cells in
     for s = 0 to tab.fcap - 1 do
-      if tab.hk.(s) >= 2 && (tab.fnx.(s) = pi || tab.fpv.(s) = pi) then incr count
+      if c.(4 * s) >= 2 && (cell_next c s = pi || cell_prev c s = pi) then incr count
     done
   in
   for fd = 0 to t.nf - 1 do
@@ -1396,17 +1438,13 @@ let transfer_flows t ~from_instance ~to_instance =
   let pt = (to_instance lsl 2) lor tag_inst in
   let rewritten = ref 0 in
   for fd = 0 to t.nf - 1 do
-    let tab = t.f_tab.(fd) in
-    for s = 0 to tab.fcap - 1 do
-      if tab.hk.(s) >= 2 then begin
-        if tab.fnx.(s) = pf then begin
-          incr rewritten;
-          tab.fnx.(s) <- pt
-        end;
-        if tab.fpv.(s) = pf then begin
-          incr rewritten;
-          tab.fpv.(s) <- pt
-        end
+    let c = t.f_tab.(fd).cells in
+    for s = 0 to t.f_tab.(fd).fcap - 1 do
+      if c.(4 * s) >= 2 then begin
+        let nxt = cell_next c s and prv = cell_prev c s in
+        if nxt = pf then incr rewritten;
+        if prv = pf then incr rewritten;
+        set_hops c s (if nxt = pf then pt else nxt) (if prv = pf then pt else prv)
       end
     done
   done;
@@ -1417,14 +1455,16 @@ let transfer_flows t ~from_instance ~to_instance =
   let nfd = get_fd t t.i_fwd.(to_instance) in
   if ofd <> nfd then begin
     let old_tab = t.f_tab.(ofd) and new_tab = t.f_tab.(nfd) in
+    let c = old_tab.cells in
     for s = 0 to old_tab.fcap - 1 do
-      if
-        old_tab.hk.(s) >= 2
-        && (old_tab.fnx.(s) = pt || old_tab.fpv.(s) = pt)
-      then
-        ftab_set new_tab old_tab.hk.(s) old_tab.ffh.(s) old_tab.fnx.(s)
-          old_tab.fpv.(s) old_tab.fage.(s)
+      let nxt = cell_next c s and prv = cell_prev c s in
+      if c.(4 * s) >= 2 && (nxt = pt || prv = pt) then
+        ftab_set new_tab c.(4 * s) c.((4 * s) + 2) nxt prv (cell_age c s)
     done
   end;
   t.journal <- t.journal + 1;
   !rewritten
+
+module For_testing = struct
+  let skip_ids t n = t.next_id <- t.next_id + n
+end

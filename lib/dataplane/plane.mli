@@ -11,9 +11,12 @@
       rule lookup is two array reads and a balancer draw is one RNG
       advance plus a binary search — draw-for-draw identical to
       {!Balancer.pick};
-    - connection state is an open-addressed table keyed by an int-packed
-      flow key (avalanche hash of labels, role stage and 5-tuple), chained
-      per connection for O(stages) teardown; [Replicated] mode keeps the
+    - connection state is an open-addressed table of four-word cells
+      (flow key, packed next/prev hops, connection hash, clock stamp and
+      chain link) in one array, so a hit reads and stamps one cell; the
+      key is an avalanche hash of labels, role stage and 5-tuple, and a
+      hit must also match the connection hash. Cells are chained per
+      connection for O(stages) teardown; [Replicated] mode keeps the
       same stores under a consistent-hash ring with k-way replication;
     - a packet is a handful of mutable locals advanced in place per hop
       ({!drive} allocates nothing on the warm path);
@@ -39,6 +42,13 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 val create : ?seed:int -> ?flow_store:flow_store -> unit -> t
+
+val max_entities : int
+(** [2^29]. Sites, forwarders, edges and instances share one id counter,
+    and a flow-table cell packs two endpoints ([id lsl 2 lor tag]) into 31
+    bits each, so every [add_*] raises [Invalid_argument] once this many
+    entities exist. *)
+
 val add_site : t -> string -> int
 val add_forwarder : t -> site:int -> int
 val add_edge : t -> site:int -> forwarder:int -> int
@@ -128,6 +138,11 @@ val flow_table_stats : t -> forwarder:int -> int * int * int
     An O(capacity) scan — telemetry and occupancy benches, not the packet
     path. *)
 
+val flow_table_bytes : t -> int
+(** Bytes of heap held by every flow table of the plane (each forwarder's
+    table and, in [Replicated] mode, every DHT store), read from the cell
+    and chain-head array lengths: capacity, not occupancy. *)
+
 val mutations : t -> int
 (** Number of journal entries applied to the packed arrays so far (rule
     installs, topology mutations) — introspection for tests/benchmarks. *)
@@ -190,11 +205,14 @@ val instance_flow_count : t -> int -> int
     table capacities), off the packet path. *)
 
 val set_clock : t -> int -> unit
-(** Set the logical clock (any monotone integer — scenario drivers use
-    the workload tick). Every packet stamps the clock onto the flow-table
-    cells it touches (insert and hit, forward and reverse); the stamp is
-    what {!expire_flows} ages against. Never consulted on the packet
-    path's control flow, so traces and RNG draws are unchanged. *)
+(** Set the logical clock (any monotone tick from 0 to [2^31 - 1] —
+    scenario drivers use the workload tick). Every packet stamps the
+    clock onto the flow-table cells it touches (insert and hit, forward
+    and reverse, every replica in [Replicated] mode); the stamp is what
+    {!expire_flows} ages against. Never consulted on the packet path's
+    control flow, so traces and RNG draws are unchanged. The stamp shares
+    a cell word with the chain link, so a tick below 0 or at or above
+    [2^31] raises [Invalid_argument]. *)
 
 val clock : t -> int
 
@@ -228,3 +246,10 @@ val site_stage_counters_into :
     buffers with. *)
 
 val reset_counters : t -> unit
+
+(** Hooks for unit tests only. *)
+module For_testing : sig
+  val skip_ids : t -> int -> unit
+  (** Advance the entity-id counter by [n] without creating entities, so
+      a test can reach {!max_entities} without allocating 2^29 ids. *)
+end

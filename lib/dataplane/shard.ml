@@ -269,6 +269,11 @@ let flow_table_stats t ~forwarder =
       if m > !maxp then maxp := m);
   (!count, !cap, !maxp)
 
+let flow_table_bytes t =
+  let n = ref 0 in
+  mirror t (fun p -> n := !n + Plane.flow_table_bytes p);
+  !n
+
 let stage_counters t ~chain_label ~egress_label ~stage =
   let pk = ref 0 and by = ref 0 in
   mirror t (fun p ->

@@ -209,7 +209,8 @@ val end_flow : t -> Packet.five_tuple -> unit
 
 val set_clock : t -> int -> unit
 (** Mirrored {!Plane.set_clock}: the logical timestamp packets stamp onto
-    the flow-table entries they touch. *)
+    the flow-table entries they touch. An out-of-range tick raises
+    [Invalid_argument] from lane 0, before any lane changes. *)
 
 val clock : t -> int
 
@@ -223,6 +224,9 @@ val flow_table_size : t -> forwarder:int -> int
 
 val flow_table_stats : t -> forwarder:int -> int * int * int
 (** [(count, capacity, max_probe)] summed/maxed across lanes. *)
+
+val flow_table_bytes : t -> int
+(** {!Plane.flow_table_bytes} summed across lanes. *)
 
 val stage_counters :
   t -> chain_label:int -> egress_label:int -> stage:int -> int * int

@@ -147,8 +147,8 @@ type testbed = {
 let chain_label = 1
 let egress_label = 3
 
-let build_testbed ?(seed = 7) () =
-  let fab = Fabric.create ~seed () in
+let build_testbed ?(seed = 7) ?flow_store () =
+  let fab = Fabric.create ~seed ?flow_store () in
   let sa = Fabric.add_site fab "A" in
   let sb = Fabric.add_site fab "B" in
   let fa = Fabric.add_forwarder fab ~site:sa in
@@ -489,7 +489,7 @@ let test_transfer_flows_across_forwarders () =
    F2. After F1 dies, the edge and g1 are reattached to F2. With local
    flow tables the connection state died with F1; with the DHT flow store
    (Section 5.3) every connection keeps its instances. *)
-let forwarder_failure_scenario ~flow_store ~seed =
+let forwarder_failure_scenario ?(age_out = false) ~flow_store ~seed () =
   let fab = Fabric.create ~seed ~flow_store () in
   let sa = Fabric.add_site fab "A" in
   let f1 = Fabric.add_forwarder fab ~site:sa in
@@ -513,6 +513,14 @@ let forwarder_failure_scenario ~flow_store ~seed =
     | Error e -> Alcotest.failf "establish: %a" Fabric.pp_error e
   in
   let before = List.map establish tuples in
+  if age_out then begin
+    (* Every connection stays active past an idle sweep, so the sweep
+       must keep all of their state, replicas included. *)
+    Fabric.set_clock fab 1;
+    List.iter (fun tuple -> ignore (establish tuple)) tuples;
+    Alcotest.(check int) "sweep evicts no live connection" 0
+      (Fabric.expire_flows fab ~idle_before:1)
+  end;
   Fabric.fail_forwarder fab f1;
   Fabric.reattach_edge fab ein ~forwarder:f2;
   Fabric.reattach_edge fab eout ~forwarder:f2;
@@ -522,16 +530,16 @@ let forwarder_failure_scenario ~flow_store ~seed =
 
 let test_forwarder_failure_local_loses_affinity () =
   let _, _, _, _, before, after =
-    forwarder_failure_scenario ~flow_store:Fabric.Local ~seed:51
+    forwarder_failure_scenario ~flow_store:Fabric.Local ~seed:51 ()
   in
   (* The flow state died with F1: the rebalanced choices differ for at
      least one connection (deterministic under the fixed seed). *)
   Alcotest.(check bool) "some connection changed instances" true
     (List.exists2 (fun b a -> b <> a) before after)
 
-let test_forwarder_failure_replicated_keeps_affinity () =
+let test_forwarder_failure_replicated_keeps_affinity ?age_out () =
   let fab, _, eout, tuples, before, after =
-    forwarder_failure_scenario ~flow_store:(Fabric.Replicated 2) ~seed:51
+    forwarder_failure_scenario ?age_out ~flow_store:(Fabric.Replicated 2) ~seed:51 ()
   in
   List.iter2
     (fun b a -> Alcotest.(check (list int)) "affinity survives forwarder death" b a)
@@ -591,6 +599,125 @@ let test_replicated_mode_basic_safety () =
         (Fabric.vnfs_in_trace fab trace)
     | Error e -> Alcotest.failf "reverse: %a" Fabric.pp_error e
   done
+
+(* ------------------------- flow-table cells ------------------------ *)
+
+module Plane = Sb_dataplane.Plane
+
+(* Inverse of [Packet.mix] on [0, 2^62): each xorshift is undone by
+   iterating it to its fixed point, each odd multiplier (mod 2^62) by its
+   Newton inverse. *)
+let unxorshift y s =
+  let h = ref y in
+  for _ = 0 to 62 / s do
+    h := y lxor (!h lsr s)
+  done;
+  !h
+
+let inv_odd c =
+  let x = ref c in
+  for _ = 1 to 6 do
+    x := !x * (2 - (c * !x))
+  done;
+  !x land max_int
+
+let unmix y =
+  let h = unxorshift y 16 in
+  let h = (h * inv_odd 0xC2B2AE35) land max_int in
+  let h = unxorshift h 13 in
+  let h = (h * inv_odd 0x85EBCA6B) land max_int in
+  let h = unxorshift h 16 in
+  (h * inv_odd 0x9E3779B1) land max_int
+
+(* A 5-tuple whose [Packet.tuple_hash] is [fh]: fix every field but the
+   source address and unwind [tuple_hash] round by round. *)
+let tuple_with_hash fh =
+  let dst_port = 443 and src_port = 40000 and proto = 6 and dst_ip = 0x0A000001 in
+  let h3 = unmix fh lxor dst_port in
+  let h2 = unmix h3 lxor ((proto lsl 17) + src_port) in
+  let h1 = unmix h2 lxor dst_ip in
+  { Packet.src_ip = unmix h1 - 0x5DEECE66; dst_ip; proto; src_port; dst_port }
+
+(* The label half of [Plane.key_base]. *)
+let label_mix ~chain_label ~egress_label =
+  Packet.mix ((chain_label * 0x9E3779B1) lxor egress_label)
+
+(* Two connections on different chains through one forwarder whose flow
+   keys collide at every stage: the second's connection hash is the first's
+   with the label halves swapped, so both hash to the same key base. The
+   stored connection hash must keep them apart. *)
+let test_key_collision_keeps_affinity flow_store () =
+  let fab = Fabric.create ~flow_store () in
+  let s = Fabric.add_site fab "A" in
+  let f = Fabric.add_forwarder fab ~site:s in
+  ignore (Fabric.add_forwarder fab ~site:s);
+  let ein = Fabric.add_edge fab ~site:s ~forwarder:f in
+  let eout = Fabric.add_edge fab ~site:s ~forwarder:f in
+  let va = Fabric.add_vnf_instance fab ~vnf:1 ~site:s ~forwarder:f () in
+  let vb = Fabric.add_vnf_instance fab ~vnf:2 ~site:s ~forwarder:f () in
+  let chains = [ (1, 1, va); (2, 1, vb) ] in
+  List.iter
+    (fun (chain_label, egress_label, v) ->
+      Fabric.install_rule fab ~forwarder:f ~chain_label ~egress_label ~stage:0
+        [ (Fabric.Vnf_instance v, 1.) ];
+      Fabric.install_rule fab ~forwarder:f ~chain_label ~egress_label ~stage:1
+        [ (Fabric.Edge eout, 1.) ])
+    chains;
+  let fh1 = Packet.tuple_hash tuple1 in
+  let fh2 =
+    fh1
+    lxor label_mix ~chain_label:1 ~egress_label:1
+    lxor label_mix ~chain_label:2 ~egress_label:1
+  in
+  let tuple2 = tuple_with_hash fh2 in
+  Alcotest.(check int) "back-solved tuple hash" fh2 (Packet.tuple_hash tuple2);
+  let conns = [ (tuple1, 1, 1); (tuple2, 2, 2) ] in
+  for _ = 1 to 2 do
+    List.iter
+      (fun (tuple, chain_label, vnf) ->
+        (match Fabric.send_forward fab ~ingress:ein ~chain_label ~egress_label:1 tuple with
+        | Ok trace ->
+          Alcotest.(check (list int)) "forward conformity" [ vnf ]
+            (Fabric.vnfs_in_trace fab trace)
+        | Error e -> Alcotest.failf "forward: %a" Fabric.pp_error e);
+        match Fabric.send_reverse fab ~egress:eout ~chain_label ~egress_label:1 tuple with
+        | Ok trace ->
+          Alcotest.(check (list int)) "reverse conformity" [ vnf ]
+            (Fabric.vnfs_in_trace fab trace)
+        | Error e -> Alcotest.failf "reverse: %a" Fabric.pp_error e)
+      conns
+  done;
+  if flow_store = Fabric.Local then
+    Alcotest.(check int) "two cells per connection" 4 (Fabric.flow_table_size fab ~forwarder:f)
+
+let test_entity_id_bound () =
+  let tb = build_testbed () in
+  Alcotest.(check int) "limit" (1 lsl 29) Fabric.max_entities;
+  (* [o2] was the last id handed out. *)
+  Plane.For_testing.skip_ids tb.fab (Fabric.max_entities - (tb.o2 + 1));
+  let exhausted = Invalid_argument "Plane: entity ids exhausted (2^29)" in
+  Alcotest.check_raises "add_site" exhausted (fun () -> ignore (Fabric.add_site tb.fab "C"));
+  Alcotest.check_raises "add_vnf_instance" exhausted (fun () ->
+      ignore
+        (Fabric.add_vnf_instance tb.fab ~vnf:100
+           ~site:(Fabric.forwarder_site tb.fab tb.fa)
+           ~forwarder:tb.fa ()));
+  (* The fabric built below the limit keeps forwarding. *)
+  ignore (send_ok tb tuple1)
+
+let test_clock_bound () =
+  let tb = build_testbed () in
+  let top = (1 lsl 31) - 1 in
+  let bad = Invalid_argument "Plane.set_clock: tick outside [0, 2^31)" in
+  Fabric.set_clock tb.fab top;
+  Alcotest.check_raises "2^31" bad (fun () -> Fabric.set_clock tb.fab (top + 1));
+  Alcotest.check_raises "negative" bad (fun () -> Fabric.set_clock tb.fab (-1));
+  Alcotest.(check int) "clock unchanged" top (Fabric.clock tb.fab);
+  (* A cell stamped with the largest tick still ages correctly: the
+     connection spans both forwarders' tables. *)
+  ignore (send_ok tb tuple1);
+  Alcotest.(check int) "fresh at the top tick" 0 (Fabric.expire_flows tb.fab ~idle_before:top);
+  Alcotest.(check int) "idle past it" 2 (Fabric.expire_flows tb.fab ~idle_before:(top + 1))
 
 (* qcheck: random fabrics with a random chain spec; conformity, affinity and
    symmetric return hold for every connection. *)
@@ -1294,6 +1421,142 @@ let prop_packed_equivalence_replicated =
   prop_packed_plane_equivalence
     ~name:"packed plane == seed fabric (Replicated 2)" (Fabric.Replicated 2)
 
+(* ----------------------- cold-path equivalence ----------------------- *)
+
+(* qcheck: the flow-table paths the lockstep soup never reaches — clock
+   ticks, idle sweeps, [instance_flow_count], [end_flow], same-forwarder
+   [transfer_flows] and the growth of tables full of tombstones — checked
+   against a side model holding each live connection's traces and last
+   active tick. On the two-site testbed every connection crosses both
+   forwarders, and with Replicated 2 both DHT stores hold every key, so an
+   idle connection is evicted from exactly two tables. *)
+type cold_conn = {
+  tuple : Packet.five_tuple;
+  mutable fwd : Fabric.endpoint list;
+  mutable rev : Fabric.endpoint list;
+  mutable last : int;
+}
+
+let prop_cold_path ~name flow_store =
+  QCheck.Test.make ~name ~count:15
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Sb_util.Rng.create (seed + 29) in
+      let tb = build_testbed ~seed ~flow_store () in
+      let fab = tb.fab in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let live : (int, cold_conn) Hashtbl.t = Hashtbl.create 64 in
+      let used = Hashtbl.create 256 in
+      let now = ref 0 in
+      let send_fwd c =
+        match Fabric.send_forward fab ~ingress:tb.ein ~chain_label ~egress_label c.tuple with
+        | Ok trace -> trace
+        | Error _ -> []
+      in
+      let send_rev c =
+        match Fabric.send_reverse fab ~egress:tb.eout ~chain_label ~egress_label c.tuple with
+        | Ok trace -> trace
+        | Error _ -> []
+      in
+      let touch c =
+        if Sb_util.Rng.bool rng then check (send_fwd c = c.fwd) else check (send_rev c = c.rev);
+        c.last <- !now
+      in
+      let live_conns () =
+        List.sort compare (Hashtbl.fold (fun fh _ acc -> fh :: acc) live [])
+        |> List.map (Hashtbl.find live)
+      in
+      let pick () =
+        let l = live_conns () in
+        match l with [] -> None | _ -> Some (List.nth l (Sb_util.Rng.int rng (List.length l)))
+      in
+      let expire cutoff =
+        let idle = List.filter (fun c -> c.last < cutoff) (live_conns ()) in
+        List.iter (fun c -> Hashtbl.remove live (Packet.tuple_hash c.tuple)) idle;
+        check (Fabric.expire_flows fab ~idle_before:cutoff = 2 * List.length idle)
+      in
+      let instances = [ tb.g1; tb.g2; tb.o1; tb.o2 ] in
+      let check_occupancy () =
+        List.iter
+          (fun i ->
+            let pinned =
+              Hashtbl.fold (fun _ c acc -> acc || List.mem (Fabric.Vnf_instance i) c.fwd) live false
+            in
+            check (Fabric.instance_flow_count fab i > 0 = pinned))
+          instances;
+        if flow_store = Fabric.Local then
+          List.iter
+            (fun f -> check (Fabric.flow_table_size fab ~forwarder:f = 2 * Hashtbl.length live))
+            [ tb.fa; tb.fb ]
+      in
+      for _ = 1 to 200 do
+        match Sb_util.Rng.int rng 9 with
+        | 0 | 1 | 2 ->
+          for _ = 1 to 1 + Sb_util.Rng.int rng 6 do
+            let tuple = ref (Packet.random_tuple rng) in
+            while Hashtbl.mem used (Packet.tuple_hash !tuple) do
+              tuple := Packet.random_tuple rng
+            done;
+            Hashtbl.replace used (Packet.tuple_hash !tuple) ();
+            let c = { tuple = !tuple; fwd = []; rev = []; last = !now } in
+            c.fwd <- send_fwd c;
+            c.rev <- send_rev c;
+            check (c.fwd <> [] && c.rev <> []);
+            Hashtbl.replace live (Packet.tuple_hash c.tuple) c
+          done
+        | 3 | 4 -> Option.iter touch (pick ())
+        | 5 ->
+          now := !now + 1 + Sb_util.Rng.int rng 3;
+          Fabric.set_clock fab !now
+        | 6 ->
+          expire (!now - Sb_util.Rng.int rng 4);
+          check_occupancy ()
+        | 7 ->
+          Option.iter
+            (fun c ->
+              Fabric.end_flow fab c.tuple;
+              Hashtbl.remove live (Packet.tuple_hash c.tuple))
+            (pick ())
+        | _ ->
+          (* transfer_flows rewrites the Local tables only. *)
+          if flow_store = Fabric.Local then begin
+            let a, b =
+              match Sb_util.Rng.int rng 4 with
+              | 0 -> (tb.g1, tb.g2)
+              | 1 -> (tb.g2, tb.g1)
+              | 2 -> (tb.o1, tb.o2)
+              | _ -> (tb.o2, tb.o1)
+            in
+            ignore (Fabric.transfer_flows fab ~from_instance:a ~to_instance:b);
+            let swap =
+              List.map (fun e -> if e = Fabric.Vnf_instance a then Fabric.Vnf_instance b else e)
+            in
+            Hashtbl.iter
+              (fun _ c ->
+                c.fwd <- swap c.fwd;
+                c.rev <- swap c.rev)
+              live
+          end
+      done;
+      (* Every live connection still follows its traces; then all expire. *)
+      List.iter
+        (fun c ->
+          check (send_fwd c = c.fwd);
+          check (send_rev c = c.rev))
+        (live_conns ());
+      expire (!now + 1);
+      check_occupancy ();
+      List.iter (fun i -> check (Fabric.instance_flow_count fab i = 0)) instances;
+      List.iter (fun f -> check (Fabric.flow_table_size fab ~forwarder:f = 0)) [ tb.fa; tb.fb ];
+      !ok)
+
+let prop_cold_path_local =
+  prop_cold_path ~name:"cold paths vs side model (Local)" Fabric.Local
+
+let prop_cold_path_replicated =
+  prop_cold_path ~name:"cold paths vs side model (Replicated 2)" (Fabric.Replicated 2)
+
 (* --------------------- sharded-fabric equivalence --------------------- *)
 
 module Shard = Sb_dataplane.Shard
@@ -1728,9 +1991,20 @@ let () =
           Alcotest.test_case "forwarder failure (local) loses affinity" `Quick
             test_forwarder_failure_local_loses_affinity;
           Alcotest.test_case "forwarder failure (DHT) keeps affinity" `Quick
-            test_forwarder_failure_replicated_keeps_affinity;
+            (fun () -> test_forwarder_failure_replicated_keeps_affinity ());
+          Alcotest.test_case "idle sweep keeps live DHT replicas" `Quick
+            (test_forwarder_failure_replicated_keeps_affinity ~age_out:true);
           Alcotest.test_case "forwarder-down error" `Quick test_forwarder_down_error;
           Alcotest.test_case "replicated-mode safety" `Quick test_replicated_mode_basic_safety;
+        ] );
+      ( "flow cells",
+        [
+          Alcotest.test_case "key collision keeps affinity (Local)" `Quick
+            (test_key_collision_keeps_affinity Fabric.Local);
+          Alcotest.test_case "key collision keeps affinity (Replicated 2)" `Quick
+            (test_key_collision_keeps_affinity (Fabric.Replicated 2));
+          Alcotest.test_case "entity id bound" `Quick test_entity_id_bound;
+          Alcotest.test_case "clock bound" `Quick test_clock_bound;
         ] );
       ( "traffic_gen",
         [
@@ -1797,6 +2071,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_balancer_hierarchical_convergence;
           QCheck_alcotest.to_alcotest prop_packed_equivalence_local;
           QCheck_alcotest.to_alcotest prop_packed_equivalence_replicated;
+          QCheck_alcotest.to_alcotest prop_cold_path_local;
+          QCheck_alcotest.to_alcotest prop_cold_path_replicated;
           QCheck_alcotest.to_alcotest prop_shard_identity_local;
           QCheck_alcotest.to_alcotest prop_shard_identity_replicated;
           QCheck_alcotest.to_alcotest prop_shard_equivalence_local;
