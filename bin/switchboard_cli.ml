@@ -18,20 +18,43 @@ module Workload = Sb_core.Workload
 
 (* ----------------------------- options ----------------------------- *)
 
+(* Range-checked converters: an out-of-range value is a command-line
+   error (usage message, exit 124), not an exception from deep inside a
+   run. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let count = int_at_least 1
+
+let fraction =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f > 0. && f <= 1. -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "expected a number in (0, 1], got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed for the scenario.")
 
 let chains =
-  Arg.(value & opt int 24 & info [ "chains" ] ~docv:"N" ~doc:"Number of service chains.")
+  Arg.(
+    value & opt count 24 & info [ "chains" ] ~docv:"N" ~doc:"Number of service chains (>= 1).")
 
 let coverage =
   Arg.(
     value
-    & opt float 0.5
+    & opt fraction 0.5
     & info [ "coverage" ] ~docv:"F" ~doc:"Fraction of sites hosting each VNF (0, 1].")
 
 let cores =
-  Arg.(value & opt int 5 & info [ "cores" ] ~docv:"N" ~doc:"Backbone core routers.")
+  Arg.(
+    value & opt (int_at_least 3) 5 & info [ "cores" ] ~docv:"N" ~doc:"Backbone core routers (>= 3).")
 
 let scheme =
   let schemes =
@@ -171,7 +194,8 @@ let adapt_cmd =
   let module Adapt = Sb_adapt.Loop in
   let module Topology = Sb_net.Topology in
   let epochs =
-    Arg.(value & opt int 12 & info [ "epochs" ] ~docv:"N" ~doc:"Control epochs to simulate.")
+    Arg.(
+      value & opt count 12 & info [ "epochs" ] ~docv:"N" ~doc:"Control epochs to simulate (>= 1).")
   in
   let epoch_len =
     Arg.(
@@ -205,8 +229,8 @@ let adapt_cmd =
   let budget =
     Arg.(
       value
-      & opt int Adapt.default_params.Adapt.churn_budget
-      & info [ "budget" ] ~docv:"N" ~doc:"Max chains re-routed per control epoch.")
+      & opt (int_at_least 0) Adapt.default_params.Adapt.churn_budget
+      & info [ "budget" ] ~docv:"N" ~doc:"Max chains re-routed per control epoch (>= 0).")
   in
   let run seed cores chains coverage file epochs epoch_len fail_epoch fail_links
       hysteresis budget =
@@ -328,7 +352,7 @@ let adapt_cmd =
 
 let plan_vnf_cmd =
   let new_sites =
-    Arg.(value & opt int 1 & info [ "new-sites" ] ~docv:"N" ~doc:"New sites per VNF.")
+    Arg.(value & opt count 1 & info [ "new-sites" ] ~docv:"N" ~doc:"New sites per VNF (>= 1).")
   in
   let exact =
     Arg.(
@@ -378,8 +402,8 @@ let chaos_cmd =
   in
   let budget =
     Arg.(
-      value & opt int 200
-      & info [ "budget" ] ~docv:"N" ~doc:"Schedules to try under $(b,--search).")
+      value & opt count 200
+      & info [ "budget" ] ~docv:"N" ~doc:"Schedules to try under $(b,--search) (>= 1).")
   in
   let out =
     Arg.(
@@ -391,10 +415,10 @@ let chaos_cmd =
   let lanes =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count) None
       & info [ "lanes" ] ~docv:"D"
           ~doc:
-            "Dataplane shard lanes for the replayed system (default 1). The \
+            "Dataplane shard lanes for the replayed system (default 1, >= 1). The \
              invariants must hold at any lane count.")
   in
   let run seed search budget out lanes =
@@ -456,32 +480,32 @@ let scenarios_cmd =
   let ticks =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "ticks" ] ~docv:"N" ~doc:"Scenario horizon in control epochs.")
+      & opt (some count) None
+      & info [ "ticks" ] ~docv:"N" ~doc:"Scenario horizon in control epochs (>= 1).")
   in
   let window =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "window" ] ~docv:"N" ~doc:"Total concurrently-live flows.")
+      & opt (some count) None
+      & info [ "window" ] ~docv:"N" ~doc:"Total concurrently-live flows (>= 1).")
   in
   let pkts =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "pkts" ] ~docv:"N" ~doc:"Sustained packets per tick.")
+      & opt (some count) None
+      & info [ "pkts" ] ~docv:"N" ~doc:"Sustained packets per tick (>= 1).")
   in
   let lanes =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "lanes" ] ~docv:"D" ~doc:"Dataplane shard lanes.")
+      & opt (some count) None
+      & info [ "lanes" ] ~docv:"D" ~doc:"Dataplane shard lanes (>= 1).")
   in
   let num_chains =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "chains" ] ~docv:"N" ~doc:"Service chains (= workload keys).")
+      & opt (some count) None
+      & info [ "chains" ] ~docv:"N" ~doc:"Service chains (= workload keys, >= 1).")
   in
   let names =
     Arg.(
@@ -551,20 +575,20 @@ let anycast_cmd =
   let ticks =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "ticks" ] ~docv:"N" ~doc:"Scenario horizon in control epochs.")
+      & opt (some count) None
+      & info [ "ticks" ] ~docv:"N" ~doc:"Scenario horizon in control epochs (>= 1).")
   in
   let num_chains =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "chains" ] ~docv:"N" ~doc:"Service chains (= workload keys).")
+      & opt (some count) None
+      & info [ "chains" ] ~docv:"N" ~doc:"Service chains (= workload keys, >= 1).")
   in
   let lanes =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "lanes" ] ~docv:"D" ~doc:"Forwarder RSS lanes in the live arms.")
+      & opt (some count) None
+      & info [ "lanes" ] ~docv:"D" ~doc:"Forwarder RSS lanes in the live arms (>= 1).")
   in
   let fractions =
     Arg.(

@@ -14,7 +14,9 @@
    - connection state is an open-addressed table of four-word cells in
      one int array (flow key, packed next/prev, connection hash, clock
      stamp + chain link), with per-connection chains for O(stages)
-     teardown; Replicated mode keeps the same stores per DHT node
+     teardown; every cell of a connection is homed at one slot ({!home}
+     of its connection hash), so they share a probe run; Replicated mode
+     keeps the same stores per DHT node
    - dynamic mutations (rule reinstall, weight change, fail/revive/
      reattach) append to the arena / patch the arrays in place — a
      mutation journal rather than a recompile; the arena compacts itself
@@ -93,11 +95,21 @@ let key_hash base stage =
 let lo31 = (1 lsl 31) - 1
 let max_entities = 1 lsl 29
 
+(* The home slot of every table entry of a connection (masked by the
+   table size): its cells in a forwarder table, and its chain head, all
+   start probing here, so one connection's cells share one probe run —
+   a packet that leaves a forwarder for a local VNF and comes back one
+   stage later finds its second cell on the line it just read. Bits 16 up
+   of the connection hash: [Shard.lane_of] partitions on [fh mod lanes],
+   so the low bits are constant within a lane. *)
+let home fh = fh lsr 16
+
 (* ------------------ open-addressed int -> int map ------------------- *)
 
-(* Used for the per-connection chain heads of a flow table. One two-word
-   cell per entry in [mc]: the key (0 empty, 1 tombstone, else the key,
-   >= 2) then its value. *)
+(* Used for the per-connection chain heads of a flow table, keyed by
+   connection hash and homed by {!home}. One two-word cell per entry in
+   [mc]: the key (0 empty, 1 tombstone, else the key, >= 2) then its
+   value. *)
 type fmap = {
   mutable mmask : int;
   mutable mn : int;
@@ -109,7 +121,7 @@ let fmap_create cap = { mmask = cap - 1; mn = 0; mtomb = 0; mc = Array.make (2 *
 
 let fmap_find m k =
   let c = m.mc in
-  let i = ref (k land m.mmask) in
+  let i = ref (home k land m.mmask) in
   let r = ref (-2) in
   while !r = -2 do
     let ck = c.(2 * !i) in
@@ -132,7 +144,7 @@ let rec fmap_put m k v =
     done
   end;
   let c = m.mc in
-  let i = ref (k land m.mmask) in
+  let i = ref (home k land m.mmask) in
   let ins = ref (-1) in
   let fin = ref false in
   while not !fin do
@@ -158,7 +170,7 @@ let rec fmap_put m k v =
 
 let fmap_remove m k =
   let c = m.mc in
-  let i = ref (k land m.mmask) in
+  let i = ref (home k land m.mmask) in
   let fin = ref false in
   while not !fin do
     let ck = c.(2 * !i) in
@@ -218,12 +230,16 @@ let cell_prev c s = c.((4 * s) + 1) lsr 31
 let cell_age c s = c.((4 * s) + 3) lsr 31
 let cell_link c s = (c.((4 * s) + 3) land lo31) - 1
 let set_hops c s nxt prv = c.((4 * s) + 1) <- nxt lor (prv lsl 31)
-let stamp c s now = c.((4 * s) + 3) <- (now lsl 31) lor (c.((4 * s) + 3) land lo31)
+(* Stores only when the age changes, so a repeat hit within one tick
+   leaves its cache line clean. *)
+let stamp c s now =
+  let w = c.((4 * s) + 3) in
+  if w lsr 31 <> now then c.((4 * s) + 3) <- (now lsl 31) lor (w land lo31)
 
 (* A hit needs both the key and the connection hash to match. *)
 let ftab_find tab h fh =
   let c = tab.cells in
-  let i = ref (h land tab.fmask) in
+  let i = ref (home fh land tab.fmask) in
   let r = ref (-2) in
   while !r = -2 do
     let k = c.(4 * !i) in
@@ -237,7 +253,7 @@ let ftab_find tab h fh =
    connection's chain. *)
 let ftab_insert tab h fh nxt prv age =
   let c = tab.cells in
-  let i = ref (h land tab.fmask) in
+  let i = ref (home fh land tab.fmask) in
   while c.(4 * !i) >= 2 do
     i := (!i + 1) land tab.fmask
   done;
@@ -631,6 +647,8 @@ let dht_remove_node d node =
 
 (* ------------------------------ plane ------------------------------- *)
 
+let max_ttl = 64
+
 let k_site = 1
 let k_fwd = 2
 let k_edge = 3
@@ -662,6 +680,12 @@ type t = {
   mutable c_pkts : int array array; (* ces id -> counters *)
   mutable c_bytes : int array array;
   ces : ces_tab;
+  (* ces ids of stages [0, memo_n) for the last (chain, egress) labels a
+     packet carried, so a hop reads its id without hashing *)
+  mutable memo_chain : int;
+  mutable memo_egress : int;
+  mutable memo_n : int;
+  memo_ids : int array;
   arena : arena;
   dht : dht option;
   mutable journal : int;
@@ -697,6 +721,10 @@ let create ?(seed = 0xF0) ?(flow_store = Local) () =
     c_pkts = Array.make 8 [||];
     c_bytes = Array.make 8 [||];
     ces = ces_create ();
+    memo_chain = 0;
+    memo_egress = 0;
+    memo_n = 0;
+    memo_ids = Array.make (max_ttl + 1) 0;
     arena = arena_create ();
     dht =
       (match flow_store with
@@ -1014,9 +1042,8 @@ let ftab_stats tab =
      live entry from its home slot, plus one for the hit itself. *)
   let maxp = ref 0 in
   for i = 0 to tab.fcap - 1 do
-    let h = tab.cells.(4 * i) in
-    if h >= 2 then begin
-      let d = (i - (h land tab.fmask)) land tab.fmask in
+    if tab.cells.(4 * i) >= 2 then begin
+      let d = (i - (home tab.cells.((4 * i) + 2) land tab.fmask)) land tab.fmask in
       if d + 1 > !maxp then maxp := d + 1
     end
   done;
@@ -1116,8 +1143,6 @@ let reset_counters t =
 
 (* --------------------------- packet cores --------------------------- *)
 
-let max_ttl = 64
-
 (* Status codes for the cores; payloads in [t.err_a]/[t.err_b]. *)
 let st_ok = 0
 let st_no_rule = 1
@@ -1126,6 +1151,25 @@ let st_inst_down = 3
 let st_fwd_down = 4
 let st_ttl = 5
 let st_not_edge = 6
+
+(* The ces id of a forward packet's hop. Stages advance one at a time
+   from 0, so the memo fills in order; a miss interns exactly as an
+   unmemoised hop would, and ids are never removed. *)
+let hop_ces t ~chain_label ~egress_label stage =
+  if t.memo_chain <> chain_label || t.memo_egress <> egress_label then begin
+    t.memo_chain <- chain_label;
+    t.memo_egress <- egress_label;
+    t.memo_n <- 0
+  end;
+  if stage < t.memo_n then t.memo_ids.(stage)
+  else begin
+    let id = ces_intern t.ces chain_label egress_label stage in
+    if stage = t.memo_n then begin
+      t.memo_ids.(stage) <- id;
+      t.memo_n <- stage + 1
+    end;
+    id
+  end
 
 let err_of t = function
   | 1 -> No_rule { forwarder = t.err_a; stage = t.err_b }
@@ -1163,7 +1207,7 @@ let forward_core t ~record ~ingress ~chain_label ~egress_label ~size flow =
         else begin
           if record then t.last_trace <- Forwarder !fwd :: t.last_trace;
           let side = if !from land 3 = tag_fwd then 1 else 0 in
-          let ces = ces_intern t.ces chain_label egress_label !stage in
+          let ces = hop_ces t ~chain_label ~egress_label !stage in
           let h =
             match t.dht with
             | None -> key_hash base !stage
@@ -1467,4 +1511,82 @@ let transfer_flows t ~from_instance ~to_instance =
 
 module For_testing = struct
   let skip_ids t n = t.next_id <- t.next_id + n
+
+  let heads_mean_displacement t ~forwarder =
+    let m = t.f_tab.(get_fd t forwarder).heads in
+    let sum = ref 0 in
+    for i = 0 to m.mmask do
+      let k = m.mc.(2 * i) in
+      if k >= 2 then sum := !sum + ((i - (home k land m.mmask)) land m.mmask)
+    done;
+    if m.mn = 0 then 0. else float_of_int !sum /. float_of_int m.mn
+
+  (* Raise unless the slot [at] of a table of [mask + 1] slots, whose key
+     word is read by [key], is reached from [home k] without crossing an
+     empty slot. *)
+  let check_reachable what ~mask ~key k at =
+    let i = ref (home k land mask) in
+    while !i <> at do
+      if key !i = 0 then failwith (Printf.sprintf "Plane: %s at slot %d unreachable" what at);
+      i := (!i + 1) land mask
+    done
+
+  let check_ftab tab =
+    let c = tab.cells and mask = tab.fmask in
+    let heads = tab.heads in
+    (* The probe run of slot [i] is named by the nearest empty slot at or
+       before it. *)
+    let run = Array.make tab.fcap (-1) in
+    let empty = ref (-1) in
+    for i = mask downto 0 do
+      if c.(4 * i) = 0 then empty := i
+    done;
+    if !empty < 0 then failwith "Plane: flow table has no empty slot";
+    let cur = ref !empty in
+    for k = 1 to tab.fcap do
+      let i = (!empty + k) land mask in
+      if c.(4 * i) = 0 then cur := i;
+      run.(i) <- !cur
+    done;
+    (* connection hash -> (its probe run, its live cells) *)
+    let conns = Hashtbl.create 64 in
+    for i = 0 to mask do
+      if c.(4 * i) >= 2 then begin
+        let fh = c.((4 * i) + 2) in
+        check_reachable "flow cell" ~mask ~key:(fun j -> c.(4 * j)) fh i;
+        match Hashtbl.find_opt conns fh with
+        | None -> Hashtbl.replace conns fh (run.(i), 1)
+        | Some (r, n) when r = run.(i) -> Hashtbl.replace conns fh (r, n + 1)
+        | Some _ -> failwith "Plane: a connection's cells span probe runs"
+      end
+    done;
+    (* Every chain head is reachable, and its chain is exactly its
+       connection's live cells. *)
+    let live_heads = ref 0 in
+    for i = 0 to heads.mmask do
+      let fh = heads.mc.(2 * i) in
+      if fh >= 2 then begin
+        incr live_heads;
+        check_reachable "chain head" ~mask:heads.mmask ~key:(fun j -> heads.mc.(2 * j)) fh i;
+        let n = ref 0 and s = ref heads.mc.((2 * i) + 1) in
+        while !s >= 0 do
+          if c.(4 * !s) < 2 || c.((4 * !s) + 2) <> fh then
+            failwith "Plane: a chain holds a cell of another connection";
+          incr n;
+          if !n > tab.fcap then failwith "Plane: a chain loops";
+          s := cell_link c !s
+        done;
+        match Hashtbl.find_opt conns fh with
+        | Some (_, cells) when cells = !n -> ()
+        | _ -> failwith "Plane: a chain misses cells of its connection"
+      end
+    done;
+    if !live_heads <> Hashtbl.length conns || !live_heads <> heads.mn then
+      failwith "Plane: chain heads and live connections disagree"
+
+  let check_tables t =
+    for fd = 0 to t.nf - 1 do
+      check_ftab t.f_tab.(fd)
+    done;
+    match t.dht with Some d -> Array.iter check_ftab d.stores | None -> ()
 end

@@ -15,9 +15,16 @@
       (flow key, packed next/prev hops, connection hash, clock stamp and
       chain link) in one array, so a hit reads and stamps one cell; the
       key is an avalanche hash of labels, role stage and 5-tuple, and a
-      hit must also match the connection hash. Cells are chained per
-      connection for O(stages) teardown; [Replicated] mode keeps the
-      same stores under a consistent-hash ring with k-way replication;
+      hit must also match the connection hash. A cell's home slot is
+      taken from its {e connection} hash, not its key, so all of a
+      connection's cells in one table (one per stage and role) share a
+      home and sit in one linear-probe run, usually one or two cache
+      lines: the lookup after a local VNF hop finds its cell next to the
+      one before. The per-connection chain-head index is homed the same
+      way, on hash bits the shard lanes do not partition on. Cells are
+      chained per connection for O(stages) teardown; [Replicated] mode
+      keeps the same stores under a consistent-hash ring with k-way
+      replication;
     - a packet is a handful of mutable locals advanced in place per hop
       ({!drive} allocates nothing on the warm path);
     - mutations (rule reinstall, weight change, fail / revive / reattach)
@@ -134,7 +141,9 @@ val flow_table_size : t -> forwarder:int -> int
 val flow_table_stats : t -> forwarder:int -> int * int * int
 (** [(count, capacity, max_probe)] of one forwarder's connection table:
     live entries, open-addressing capacity (load factor is
-    [count /. capacity]) and the longest probe sequence a lookup can take.
+    [count /. capacity]) and the longest probe sequence a hit can take
+    (the largest displacement of a live cell from its connection's home
+    slot, plus one).
     An O(capacity) scan — telemetry and occupancy benches, not the packet
     path. *)
 
@@ -252,4 +261,15 @@ module For_testing : sig
   val skip_ids : t -> int -> unit
   (** Advance the entity-id counter by [n] without creating entities, so
       a test can reach {!max_entities} without allocating 2^29 ids. *)
+
+  val heads_mean_displacement : t -> forwarder:int -> float
+  (** Mean distance, in slots, of the forwarder table's chain-head
+      entries from their home slots (0 when the index is empty). *)
+
+  val check_tables : t -> unit
+  (** Raise [Failure] unless, in every forwarder table and DHT store,
+      each live cell and chain head is reached from its connection's home
+      slot without crossing an empty slot, each connection's cells lie in
+      one probe run, and each chain holds exactly its connection's live
+      cells. O(capacity times probe length). *)
 end

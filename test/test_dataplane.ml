@@ -719,6 +719,37 @@ let test_clock_bound () =
   Alcotest.(check int) "fresh at the top tick" 0 (Fabric.expire_flows tb.fab ~idle_before:top);
   Alcotest.(check int) "idle past it" 2 (Fabric.expire_flows tb.fab ~idle_before:(top + 1))
 
+(* A D-lane shard sends a plane only connections whose tuple hash is one
+   residue mod D. The chain-head index must spread those as well as it
+   spreads unfiltered connections: homing on the low hash bits would use
+   only 1/D of the slots. *)
+let test_heads_lane_independent () =
+  let mean_displacement keep =
+    let p = Plane.create () in
+    let site = Plane.add_site p "s" in
+    let f = Plane.add_forwarder p ~site in
+    let ein = Plane.add_edge p ~site ~forwarder:f in
+    let eout = Plane.add_edge p ~site ~forwarder:f in
+    Plane.install_rule p ~forwarder:f ~chain_label ~egress_label ~stage:0
+      [ (Plane.Edge eout, 1.0) ];
+    let rng = Sb_util.Rng.create 17 in
+    let n = ref 0 in
+    while !n < 2500 do
+      let tuple = Packet.random_tuple rng in
+      if keep (Packet.tuple_hash tuple) then begin
+        assert (Plane.drive p ~ingress:ein ~chain_label ~egress_label ~size:64 tuple);
+        incr n
+      end
+    done;
+    Plane.For_testing.check_tables p;
+    Plane.For_testing.heads_mean_displacement p ~forwarder:f
+  in
+  let all = mean_displacement (fun _ -> true) in
+  let lane0 = mean_displacement (fun h -> h mod 8 = 0) in
+  if not (lane0 <= 1.5 *. all) then
+    Alcotest.failf "lane-0 connections displaced %.2f slots on average, all connections %.2f"
+      lane0 all
+
 (* qcheck: random fabrics with a random chain spec; conformity, affinity and
    symmetric return hold for every connection. *)
 let prop_safety_random_chains =
@@ -1491,7 +1522,7 @@ let prop_cold_path ~name flow_store =
             [ tb.fa; tb.fb ]
       in
       for _ = 1 to 200 do
-        match Sb_util.Rng.int rng 9 with
+        (match Sb_util.Rng.int rng 9 with
         | 0 | 1 | 2 ->
           for _ = 1 to 1 + Sb_util.Rng.int rng 6 do
             let tuple = ref (Packet.random_tuple rng) in
@@ -1537,7 +1568,8 @@ let prop_cold_path ~name flow_store =
                 c.fwd <- swap c.fwd;
                 c.rev <- swap c.rev)
               live
-          end
+          end);
+        Plane.For_testing.check_tables fab
       done;
       (* Every live connection still follows its traces; then all expire. *)
       List.iter
@@ -1545,8 +1577,10 @@ let prop_cold_path ~name flow_store =
           check (send_fwd c = c.fwd);
           check (send_rev c = c.rev))
         (live_conns ());
+      Plane.For_testing.check_tables fab;
       expire (!now + 1);
       check_occupancy ();
+      Plane.For_testing.check_tables fab;
       List.iter (fun i -> check (Fabric.instance_flow_count fab i = 0)) instances;
       List.iter (fun f -> check (Fabric.flow_table_size fab ~forwarder:f = 0)) [ tb.fa; tb.fb ];
       !ok)
@@ -2005,6 +2039,8 @@ let () =
             (test_key_collision_keeps_affinity (Fabric.Replicated 2));
           Alcotest.test_case "entity id bound" `Quick test_entity_id_bound;
           Alcotest.test_case "clock bound" `Quick test_clock_bound;
+          Alcotest.test_case "heads index lane-independent" `Quick
+            test_heads_lane_independent;
         ] );
       ( "traffic_gen",
         [
