@@ -4,10 +4,11 @@ module System = Sb_ctrl.System
 module Types = Sb_ctrl.Types
 
 module Exporter = struct
-  (* Per-chain scratch: the current and previous window counters, reused
-     every epoch so a measurement sweep allocates only the published
-     report. *)
+  (* Per-chain scratch: the chain's telemetry topic and the current and
+     previous window counters, reused every epoch so a measurement sweep
+     allocates only the published report. *)
   type buf = {
+    topic : string;
     cur_p : int array;
     cur_b : int array;
     prev_p : int array;
@@ -28,7 +29,6 @@ module Exporter = struct
   let rec tick t =
     if t.running then begin
       let down = t.down_links () in
-      let table = System.site_flow_table_stats t.system ~site:t.site in
       List.iter
         (fun (chain, _egress, num_stages) ->
           let b =
@@ -37,6 +37,7 @@ module Exporter = struct
             | _ ->
               let b =
                 {
+                  topic = Types.telemetry_topic ~chain;
                   cur_p = Array.make num_stages 0;
                   cur_b = Array.make num_stages 0;
                   prev_p = Array.make num_stages 0;
@@ -61,16 +62,9 @@ module Exporter = struct
                indistinguishable from loss, so a zero report is
                information (the chain really carried nothing). *)
             Bus.publish (System.bus t.system) ~site:t.site
-              ~topic:(Types.telemetry_topic ~chain)
+              ~topic:b.topic
               (Types.Telemetry_report
-                 {
-                   site = t.site;
-                   epoch = t.epoch;
-                   chain;
-                   stages = delta;
-                   down_links = down;
-                   table;
-                 });
+                 { site = t.site; epoch = t.epoch; chain; stages = delta; down_links = down });
             t.exported <- t.exported + 1
           end)
         (System.site_known_chains t.system ~site:t.site);
@@ -193,7 +187,6 @@ module Aggregator = struct
     s_epoch : int;
     s_stages : (int * int) array;
     s_down : int list;
-    s_table : int * int * int;
   }
 
   type t = {
@@ -206,7 +199,7 @@ module Aggregator = struct
   }
 
   let handle t = function
-    | Types.Telemetry_report { site; epoch; chain; stages; down_links; table } -> (
+    | Types.Telemetry_report { site; epoch; chain; stages; down_links } -> (
       match Hashtbl.find_opt t.cells chain with
       | None -> () (* a chain this aggregator was not asked to watch *)
       | Some row ->
@@ -217,14 +210,7 @@ module Aggregator = struct
             match row.(site) with None -> true | Some s -> epoch >= s.s_epoch
           in
           if newer then
-            row.(site) <-
-              Some
-                {
-                  s_epoch = epoch;
-                  s_stages = stages;
-                  s_down = down_links;
-                  s_table = table;
-                }
+            row.(site) <- Some { s_epoch = epoch; s_stages = stages; s_down = down_links }
         end)
     | _ -> ()
 
@@ -282,33 +268,6 @@ module Aggregator = struct
              s.s_stages)
          ());
     out
-
-  (* Every chain's report from a site carries the same site-level table
-     snapshot, so pick one fresh sample per site (the freshest wins) and
-     sum entries/capacity across sites; probe lengths max. *)
-  let table_occupancy t ~epoch =
-    let per_site = Array.make t.num_sites None in
-    List.iter
-      (fun chain ->
-        match Hashtbl.find_opt t.cells chain with
-        | None -> ()
-        | Some row ->
-          Array.iteri
-            (fun site cell ->
-              match cell with
-              | Some s when fresh t ~epoch s -> (
-                match per_site.(site) with
-                | Some prev when prev.s_epoch >= s.s_epoch -> ()
-                | _ -> per_site.(site) <- Some s)
-              | _ -> ())
-            row)
-      t.chains;
-    Array.fold_left
-      (fun (c, k, m) cell ->
-        match cell with
-        | Some { s_table = c', k', m'; _ } -> (c + c', k + k', max m m')
-        | None -> (c, k, m))
-      (0, 0, 0) per_site
 
   let down_links t ~epoch =
     List.fold_left

@@ -109,12 +109,6 @@ module Aggregator : sig
   val down_links : t -> epoch:int -> int list
   (** Sorted union of the down-link observations in all fresh samples. *)
 
-  val table_occupancy : t -> epoch:int -> int * int * int
-  (** Flow-table [(count, capacity, max_probe)] summed over sites with a
-      fresh sample at [epoch] (one sample per site; counts and capacities
-      add, probe lengths max) — the deployment-wide connection-state
-      occupancy, e.g. for charting throughput against table load factor. *)
-
   val reports : t -> int
   (** Total telemetry reports received (including superseded ones). *)
 

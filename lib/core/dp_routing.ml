@@ -122,18 +122,21 @@ let ensure_tables scr ~rows ~stride =
   end;
   scr.stride <- stride
 
-(* The single-sweep DP used by [solve]. Bit-identical to [best_path] but
-   without cache traffic (within one solve every commit bumps the load
-   generation, so the stage-cost cache can never hit) and with a
-   delay-lower-bound prune: [stage_cost = delay + uw * (net + cc)] with
-   [net >= 0] on the monotone non-negative loads a solve accumulates, and
-   float rounding is monotone, so
-   [pc +. (delay +. uw *. cc) >= best] implies the full cost cannot beat
-   [best] under the strict [<] tie-break — the pair is skipped without
-   touching the link arrays. Not used by [resolve]: lift-outs can leave
-   ~1e-16 negative load residues that make [net] infinitesimally negative
-   and void the bound. *)
-let best_path_pruned scr state ~util_weight ~chain ~ingress ~egress =
+(* The flat single-sweep DP. It makes [best_path]'s decisions bit for bit
+   (the same [pc +. (delay +. uw *. (net +. cc))] arithmetic as
+   [Load_state.stage_cost_cached], the same candidate order and strict [<]
+   tie-break) over flat scratch tables instead of per-element arrays, and
+   without the stage-cost cache: within one solve every commit bumps the
+   load generation, so the cache could never hit.
+
+   [prune] adds a delay lower bound: [stage_cost = delay + uw * (net + cc)]
+   with [net >= 0] on the monotone non-negative loads a solve accumulates,
+   and float rounding is monotone, so [pc +. (delay +. uw *. cc) >= best]
+   implies the full cost cannot beat [best] under the strict [<] — the
+   pair is skipped without touching the link arrays. [resolve] must not
+   prune: lift-outs can leave ~1e-16 negative load residues that make
+   [net] infinitesimally negative and void the bound. *)
+let best_path_flat scr state ~prune ~util_weight ~chain ~ingress ~egress =
   let inst = Load_state.instance state in
   let paths = Model.paths (Instance.model inst) in
   let base = (Instance.stage_off inst).(chain) in
@@ -184,7 +187,7 @@ let best_path_pruned scr state ~util_weight ~chain ~ingress ~egress =
           if pc < infinity then begin
             let src = node_at (z - 1) i in
             let delay = Sb_net.Paths.delay paths src node in
-            if pc +. (delay +. uwcc) < !bc then begin
+            if (not prune) || pc +. (delay +. uwcc) < !bc then begin
               let net = Load_state.stage_net_cost state ~chain ~stage:(z - 1) ~src ~dst:node in
               let c = pc +. (delay +. (util_weight *. (net +. cc))) in
               if c < !bc then begin
@@ -325,17 +328,13 @@ let min_split = 0.02
 
 (* Route one (ingress, egress) pair of a chain, carrying [share] of the
    chain's traffic; splits across successive least-cost routes as capacity
-   runs out (Section 4.4). [pruned] selects the cache-free pruned DP sweep
-   (single solve over monotone loads) vs. the cached one (resolve, where
-   lifted-out loads void the prune's lower bound). *)
-let route_pair scr ~pruned state routing ~util_weight ~max_routes chain ~ingress ~egress ~share =
+   runs out (Section 4.4). [prune] turns on the flat sweep's delay bound:
+   right for a single solve over monotone loads, wrong for resolve, where
+   lifted-out loads void it. *)
+let route_pair scr ~prune state routing ~util_weight ~max_routes chain ~ingress ~egress ~share =
   let rec go remaining routes_left =
     if remaining > 1e-9 then begin
-      let path =
-        if pruned then best_path_pruned scr state ~util_weight ~chain ~ingress ~egress
-        else best_path ~ingress ~egress state ~util_weight ~chain
-      in
-      match path with
+      match best_path_flat scr state ~prune ~util_weight ~chain ~ingress ~egress with
       | None -> () (* unroutable chain: leave unrouted; validate will flag *)
       | Some nodes ->
         let headroom =
@@ -353,13 +352,13 @@ let route_pair scr ~pruned state routing ~util_weight ~max_routes chain ~ingress
   in
   go share max_routes
 
-let route_chain scr ~pruned state routing ~util_weight ~max_routes chain =
+let route_chain scr ~prune state routing ~util_weight ~max_routes chain =
   let m = Load_state.model state in
   List.iter
     (fun (ingress, ishare) ->
       List.iter
         (fun (egress, eshare) ->
-          route_pair scr ~pruned state routing ~util_weight ~max_routes chain
+          route_pair scr ~prune state routing ~util_weight ~max_routes chain
             ~ingress ~egress ~share:(ishare *. eshare))
         (Model.chain_egresses m chain))
     (Model.chain_ingresses m chain)
@@ -372,7 +371,7 @@ let solve_into ?(util_weight = default_util_weight) ?(max_routes = 8) ?rng state
   Routing.reset routing;
   let scr = make_scratch inst in
   Array.iter
-    (fun c -> route_chain scr ~pruned:true state routing ~util_weight ~max_routes c)
+    (fun c -> route_chain scr ~prune:true state routing ~util_weight ~max_routes c)
     (chain_order ?rng (Instance.model inst));
   routing
 
@@ -412,15 +411,15 @@ let current_cost state ~util_weight chain paths =
 
 (* Cost of the chain's best single route per endpoint pair on the same
    lifted-out load — marginal vs marginal, so the hysteresis threshold
-   compares like with like. *)
-let alternative_cost state ~util_weight chain =
+   compares like with like. Unpruned: the lift-out may leave residues. *)
+let alternative_cost scr state ~util_weight chain =
   let m = Load_state.model state in
   let total = ref 0. and feasible = ref true in
   List.iter
     (fun (ingress, ishare) ->
       List.iter
         (fun (egress, eshare) ->
-          match best_path ~ingress ~egress state ~util_weight ~chain with
+          match best_path_flat scr state ~prune:false ~util_weight ~chain ~ingress ~egress with
           | Some nodes ->
             total := !total +. (ishare *. eshare *. path_cost state ~util_weight chain nodes)
           | None -> feasible := false)
@@ -450,8 +449,8 @@ let resolve ?(util_weight = default_util_weight) ?(max_routes = 8) ?(hysteresis 
   (* Scan phase: lift each chain out, cost its current route set and its
      best alternative as the same marginal insertion, put it back. Between
      the lift and the re-commit nothing else mutates, so the load-state
-     generation is fixed and the stage-cost cache is shared across the
-     chain's current-route costing AND its whole DP sweep. An unrouted
+     generation is fixed and the stage-cost cache serves the chain's
+     current-route and alternative-route costing. An unrouted
      chain (dropped by an earlier epoch or unroutable at creation) scores
      infinite gain: routing it at all is the best move. *)
   let candidates = ref [] in
@@ -465,7 +464,7 @@ let resolve ?(util_weight = default_util_weight) ?(max_routes = 8) ?(hysteresis 
     let cur =
       if lifted then current_cost state ~util_weight c prev_paths.(c) else infinity
     in
-    let alt = alternative_cost state ~util_weight c in
+    let alt = alternative_cost scr state ~util_weight c in
     if lifted then
       List.iter (fun (nodes, frac) -> commit state c nodes frac) prev_paths.(c);
     match alt with
@@ -499,6 +498,16 @@ let resolve ?(util_weight = default_util_weight) ?(max_routes = 8) ?(hysteresis 
           (Routing.stage_flows routing ~chain:c ~stage);
         Routing.set_stage routing ~chain:c ~stage []
       done;
-      route_chain scr ~pruned:false state routing ~util_weight ~max_routes c)
+      route_chain scr ~prune:false state routing ~util_weight ~max_routes c)
     rerouted;
   (routing, { rerouted; considered = !considered; over_threshold = List.length ranked })
+
+module For_testing = struct
+  let best_path_sweep ?ingress ?egress state ~util_weight ~chain =
+    let m = Load_state.model state in
+    let ingress = match ingress with Some i -> i | None -> Model.chain_ingress m chain in
+    let egress = match egress with Some e -> e | None -> Model.chain_egress m chain in
+    best_path_flat
+      (make_scratch (Load_state.instance state))
+      state ~prune:false ~util_weight ~chain ~ingress ~egress
+end

@@ -41,9 +41,9 @@ val solve_into :
     Demand is read through the instance, honouring
     {!Instance.set_scale}. Returns the routing it was given.
 
-    The DP sweep is cache-free and pruned: within one solve every commit
-    bumps the load generation (the stage-cost cache could never hit), and
-    a candidate pair whose delay-plus-compute lower bound cannot beat the
+    The DP sweep runs over flat scratch tables, cache-free and pruned:
+    within one solve every commit bumps the load generation (the
+    stage-cost cache could never hit), and a candidate pair whose delay-plus-compute lower bound cannot beat the
     incumbent under the strict [<] tie-break is skipped before its
     link-cost scan — bit-identical decisions to {!best_path}'s full
     evaluation because stage costs are [delay + uw * (net + cc)] with
@@ -66,7 +66,8 @@ val best_path :
     stage has no reachable candidate. [ingress]/[egress] default to the
     chain's first endpoints (multi-endpoint chains are routed per pair by
     {!solve}). Exposed for the control plane (route recomputation after a
-    two-phase-commit reject) and tests. *)
+    two-phase-commit reject) and tests, and the reference the flat sweep
+    that {!solve} and {!resolve} run is checked against. *)
 
 type resolve_stats = {
   rerouted : int list;
@@ -95,8 +96,24 @@ val resolve :
     at most [churn_budget] of them per call (default unlimited), highest
     gain first. The scan lifts each chain out before costing, so current
     and alternative are the same marginal insertion, and performs no other
-    mutation, so the stage-cost cache of the shared load state is reused
-    across the chain's costing and its whole DP sweep. Chains left
+    mutation, so the stage-cost cache of the shared load state serves both
+    route costings. The alternative comes from {!solve}'s flat DP sweep
+    with its delay-bound prune off (lift-outs can leave tiny negative load
+    residues that void the bound), which picks the same nodes as
+    {!best_path}. Chains left
     unrouted by [prev] (or whose current route is infeasible under [m])
     score infinite gain and are re-routed first.
     Returns the new routing plus which chains moved. *)
+
+(** Hooks for unit tests only. *)
+module For_testing : sig
+  val best_path_sweep :
+    ?ingress:int ->
+    ?egress:int ->
+    Load_state.t ->
+    util_weight:float ->
+    chain:int ->
+    int array option
+  (** {!best_path} computed by the unpruned flat sweep {!resolve} runs;
+      must return the same nodes. *)
+end

@@ -99,6 +99,10 @@ type local_chain = {
 type local_sb = {
   ls_site : int;
   ls_known : (int, local_chain) Hashtbl.t;
+  mutable ls_chains : (int * int * int) list option;
+  (* [site_known_chains], sorted; [None] once a chain is learned or a
+     known chain's egress or stage count changes (chains are never
+     forgotten) *)
   ls_instance_info : (int * int * int, (int * float) list) Hashtbl.t;
   (* (chain, vnf, site) -> instances *)
   ls_fwd_info : (int * int * int, (int * float) list) Hashtbl.t;
@@ -436,14 +440,19 @@ let ls_scan_topics t ls (lc : local_chain) stages =
 
 let all_stages_of tr = List.init (Array.length tr) Fun.id
 
+let ls_set_chain ls lc ~spec ~egress =
+  if lc.lc_egress <> egress || List.compare_lengths lc.lc_spec.vnfs spec.vnfs <> 0 then
+    ls.ls_chains <- None;
+  lc.lc_spec <- spec;
+  lc.lc_egress <- egress
+
 (* React to a committed full route set: (re)build the chain's transition
    tables, reset the version lineage, subscribe, install. *)
 let ls_apply_full t ls ~chain ~egress ~spec ~version tr =
   let lc =
     match Hashtbl.find_opt ls.ls_known chain with
     | Some lc ->
-      lc.lc_spec <- spec;
-      lc.lc_egress <- egress;
+      ls_set_chain ls lc ~spec ~egress;
       lc.lc_version <- version;
       lc.lc_tr <- tr;
       lc
@@ -453,6 +462,7 @@ let ls_apply_full t ls ~chain ~egress ~spec ~version tr =
           lc_tr = tr }
       in
       Hashtbl.replace ls.ls_known chain lc;
+      ls.ls_chains <- None;
       lc
   in
   ls_scan_topics t ls lc (all_stages_of tr);
@@ -485,8 +495,7 @@ let ls_apply_delta t ls ~chain ~egress ~spec (d : chain_delta) =
     | Some lc when lc.lc_version = d.cd_base && Array.length lc.lc_tr = d.cd_nstages ->
       List.iter (fun sd -> lc.lc_tr.(sd.sd_stage) <- sd.sd_tr) d.cd_stages;
       lc.lc_version <- d.cd_target;
-      lc.lc_spec <- spec;
-      lc.lc_egress <- egress;
+      ls_set_chain ls lc ~spec ~egress;
       ls_scan_topics t ls lc (List.map (fun sd -> sd.sd_stage) d.cd_stages);
       try_install t ls lc
     | Some lc when lc.lc_version >= d.cd_target ->
@@ -922,6 +931,7 @@ let create ?(seed = 11) ?(install_latency = 0.09) ?(egress_rate = 20_000.)
         {
           ls_site = i;
           ls_known = Hashtbl.create 8;
+          ls_chains = Some [];
           ls_instance_info = Hashtbl.create 16;
           ls_fwd_info = Hashtbl.create 16;
           ls_installed = Hashtbl.create 16;
@@ -1257,20 +1267,19 @@ let chain_measurements t ~chain =
    knowledge: the Global Switchboard's table is NOT consulted, so this is
    exactly what a site-local exporter can see. *)
 let site_known_chains t ~site =
-  Hashtbl.fold
-    (fun id (lc : local_chain) acc ->
-      (id, lc.lc_egress, List.length lc.lc_spec.vnfs + 1) :: acc)
-    t.locals.(site).ls_known []
-  |> List.sort compare
-
-let site_chain_measurements t ~site ~chain =
-  match Hashtbl.find_opt t.locals.(site).ls_known chain with
-  | Some lc ->
-    let stages = List.length lc.lc_spec.vnfs + 1 in
-    Array.init stages (fun stage ->
-        DP.site_stage_counters t.fabric ~site:t.sites.(site).fab_site
-          ~chain_label:chain ~egress_label:lc.lc_egress ~stage)
-  | None -> [||]
+  let ls = t.locals.(site) in
+  match ls.ls_chains with
+  | Some l -> l
+  | None ->
+    let l =
+      Hashtbl.fold
+        (fun id (lc : local_chain) acc ->
+          (id, lc.lc_egress, List.length lc.lc_spec.vnfs + 1) :: acc)
+        ls.ls_known []
+      |> List.sort compare
+    in
+    ls.ls_chains <- Some l;
+    l
 
 let site_chain_measurements_into t ~site ~chain ~pkts ~bytes =
   match Hashtbl.find_opt t.locals.(site).ls_known chain with
@@ -1289,15 +1298,6 @@ let site_chain_version t ~site ~chain =
     (Hashtbl.find_opt t.locals.(site).ls_known chain)
 
 let reset_measurements t = DP.reset_counters t.fabric
-
-let site_flow_table_stats t ~site =
-  (* Lane-aggregated occupancy of every connection table at the site:
-     entries, open-addressing capacity and worst probe length. *)
-  List.fold_left
-    (fun (c, k, m) forwarder ->
-      let c', k', m' = DP.flow_table_stats t.fabric ~forwarder in
-      (c + c', k + k', max m m'))
-    (0, 0, 0) t.sites.(site).forwarders
 
 let vnf_committed_load t ~vnf ~site =
   match Hashtbl.find_opt t.vnf_ctls vnf with

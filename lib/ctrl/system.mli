@@ -87,11 +87,6 @@ val shard : t -> Sb_dataplane.Shard.t
 
 val lanes : t -> int
 
-val site_flow_table_stats : t -> site:int -> int * int * int
-(** [(count, capacity, max_probe)] summed over the site's forwarders and
-    the shard's lanes — the occupancy figure the telemetry exporter
-    publishes. *)
-
 val site_forwarder : t -> int -> int
 (** The site's first (edge-facing) forwarder. *)
 
@@ -272,18 +267,16 @@ val reset_measurements : t -> unit
 val site_known_chains : t -> site:int -> (int * int * int) list
 (** [(chain, egress, num_stages)] for every chain the site's Local
     Switchboard has learned via route updates — the chain universe a
-    site-local telemetry exporter iterates. Sorted by chain id. *)
-
-val site_chain_measurements : t -> site:int -> chain:int -> (int * int) array
-(** Per-stage [(packets, bytes)] measured at this site's forwarders only,
-    based on the Local Switchboard's chain knowledge; empty for a chain the
-    site has not learned. Summed over all sites this equals
-    {!chain_measurements}. *)
+    site-local telemetry exporter iterates. Sorted by chain id; the list
+    is cached and rebuilt only after the site learns a chain or a known
+    chain's egress or stage count changes. *)
 
 val site_chain_measurements_into :
   t -> site:int -> chain:int -> pkts:int array -> bytes:int array -> int
-(** Bulk {!site_chain_measurements} into caller-owned buffers: fills
-    [pkts]/[bytes] (indexed by stage) in one pass over the site's
+(** Per-stage packets and bytes measured at this site's forwarders only,
+    based on the Local Switchboard's chain knowledge (summed over all
+    sites this equals {!chain_measurements}), into caller-owned buffers:
+    fills [pkts]/[bytes] (indexed by stage) in one pass over the site's
     forwarders and returns the chain's stage count, or [-1] for a chain
     the site has not learned (buffers untouched). Raises
     [Invalid_argument] if the buffers are shorter than the stage count.
@@ -343,7 +336,7 @@ val site_deployed_vnfs : t -> site:int -> int list
 val site_stage_packets : t -> site:int -> chain:int -> egress:int -> stage:int -> int
 (** Cumulative packets the site's forwarders handled for a
     [(chain, egress, stage)] rule, summed over lanes — unlike
-    {!site_chain_measurements} it takes the egress label explicitly, so it
+    {!site_chain_measurements_into} it takes the egress label explicitly, so it
     works at sites whose Local Switchboard never learned the chain. *)
 
 val apply_site_patches : t -> site:int -> Sb_dataplane.Fabric.rule_patch list -> unit

@@ -64,7 +64,6 @@ type msg =
       chain : int;
       stages : (int * int) array;
       down_links : int list;
-      table : int * int * int;
     }
   | Load_advert of {
       site : int;
@@ -120,10 +119,9 @@ let pp_msg ppf = function
     Format.fprintf ppf "Forwarder_info(vnf%d site%d %d fwds)" vnf site (List.length forwarders)
   | Edge_info { site; edge; forwarder } ->
     Format.fprintf ppf "Edge_info(site%d edge%d fwd%d)" site edge forwarder
-  | Telemetry_report { site; epoch; chain; stages; down_links; table = tc, tk, _ } ->
-    Format.fprintf ppf
-      "Telemetry_report(site%d epoch%d chain%d %d stages, %d down, %d/%d flows)"
-      site epoch chain (Array.length stages) (List.length down_links) tc tk
+  | Telemetry_report { site; epoch; chain; stages; down_links } ->
+    Format.fprintf ppf "Telemetry_report(site%d epoch%d chain%d %d stages, %d down)" site
+      epoch chain (Array.length stages) (List.length down_links)
   | Load_advert { site; epoch; loads; fwd_weights; down_links } ->
     Format.fprintf ppf "Load_advert(site%d epoch%d %d vnfs, %d fwd sets, %d down)"
       site epoch (List.length loads) (List.length fwd_weights)
@@ -170,7 +168,7 @@ let msg_size = function
   | Forwarder_info { forwarders; _ } -> header_bytes + 8 + pair_list_size forwarders
   | Edge_info _ -> header_bytes + 12
   | Telemetry_report { stages; down_links; _ } ->
-    header_bytes + 24 + (16 * Array.length stages) + (4 * List.length down_links)
+    header_bytes + 12 + (16 * Array.length stages) + (4 * List.length down_links)
   | Load_advert { loads; fwd_weights; down_links; _ } ->
     header_bytes + 8 + pair_list_size loads
     + List.fold_left (fun a (_, ws) -> a + 4 + pair_list_size ws) 4 fwd_weights
@@ -180,8 +178,7 @@ let msg_size = function
    O(families), not O(chains): "/chain/17/route" and "/chain/40271/route"
    land in the same "/chain/*/route" bucket. *)
 let topic_class topic =
-  let has_prefix p = String.length topic >= String.length p
-                     && String.sub topic 0 (String.length p) = p in
+  let has_prefix prefix = String.starts_with ~prefix topic in
   if topic = chain_request_topic then topic
   else if has_prefix "/gsb/votes/" then "/gsb/votes/*"
   else if has_prefix "/ctl/" then "/ctl/*"

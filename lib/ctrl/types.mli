@@ -116,11 +116,6 @@ type msg =
               epoch's window (a delta, not a cumulative count) *)
       down_links : int list;
           (** topology link ids this site's forwarders observe down *)
-      table : int * int * int;
-          (** [(count, capacity, max_probe)] of the site's connection
-              tables, summed over its forwarders and the shard's lanes —
-              flow-table occupancy for capacity planning and the
-              cache-cliff analysis (load factor is [count /. capacity]) *)
     }
       (** One site's per-chain measurement export for one epoch — the
           feedback the telemetry aggregator ([sb_adapt]) assembles into a

@@ -660,6 +660,7 @@ type t = {
   (* per raw id *)
   mutable kind : int array;
   mutable site_name : string array;
+  mutable site_fds : int list array; (* a site's dense forwarder indices, newest first *)
   mutable e_site : int array;
   mutable e_fwd : int array;
   mutable i_vnf : int array;
@@ -702,6 +703,7 @@ let create ?(seed = 0xF0) ?(flow_store = Local) () =
     next_id = 0;
     kind = Array.make 16 0;
     site_name = Array.make 16 "";
+    site_fds = Array.make 16 [];
     e_site = Array.make 16 (-1);
     e_fwd = Array.make 16 (-1);
     i_vnf = Array.make 16 (-1);
@@ -749,6 +751,10 @@ let ensure_id t id =
     t.site_name <-
       (let b = Array.make n "" in
        Array.blit t.site_name 0 b 0 cap;
+       b);
+    t.site_fds <-
+      (let b = Array.make n [] in
+       Array.blit t.site_fds 0 b 0 cap;
        b);
     t.e_site <- grow_int t.e_site n (-1);
     t.e_fwd <- grow_int t.e_fwd n (-1);
@@ -813,6 +819,7 @@ let add_forwarder t ~site =
   t.f_dense.(id) <- fd;
   t.fwd_id.(fd) <- id;
   t.f_site.(fd) <- site;
+  t.site_fds.(site) <- fd :: t.site_fds.(site);
   t.f_alive.(fd) <- true;
   t.f_insts.(fd) <- [];
   t.f_tab.(fd) <- ftab_create ();
@@ -1106,33 +1113,36 @@ let stage_counters t ~chain_label ~egress_label ~stage =
     (!p, !b)
   end
 
+(* A site's forwarders (never removed, so the dense indices stay valid);
+   none for an id that is not a site. *)
+let site_fwds t site = if kind_of t site = k_site then t.site_fds.(site) else []
+
+let rec add_site_counters t ces stage pkts bytes = function
+  | [] -> ()
+  | fd :: rest ->
+    if ces < Array.length t.c_pkts.(fd) then begin
+      pkts.(stage) <- pkts.(stage) + t.c_pkts.(fd).(ces);
+      bytes.(stage) <- bytes.(stage) + t.c_bytes.(fd).(ces)
+    end;
+    add_site_counters t ces stage pkts bytes rest
+
 let site_stage_counters t ~site ~chain_label ~egress_label ~stage =
   let ces = ces_find t.ces chain_label egress_label stage in
   if ces < 0 then (0, 0)
   else begin
-    let p = ref 0 and b = ref 0 in
-    for fd = 0 to t.nf - 1 do
-      if t.f_site.(fd) = site && ces < Array.length t.c_pkts.(fd) then begin
-        p := !p + t.c_pkts.(fd).(ces);
-        b := !b + t.c_bytes.(fd).(ces)
-      end
-    done;
-    (!p, !b)
+    let p = [| 0 |] and b = [| 0 |] in
+    add_site_counters t ces 0 p b (site_fwds t site);
+    (p.(0), b.(0))
   end
 
 let site_stage_counters_into t ~site ~chain_label ~egress_label ~pkts ~bytes =
   let stages = Array.length pkts in
   Array.fill pkts 0 stages 0;
   Array.fill bytes 0 stages 0;
+  let fds = site_fwds t site in
   for stage = 0 to stages - 1 do
     let ces = ces_find t.ces chain_label egress_label stage in
-    if ces >= 0 then
-      for fd = 0 to t.nf - 1 do
-        if t.f_site.(fd) = site && ces < Array.length t.c_pkts.(fd) then begin
-          pkts.(stage) <- pkts.(stage) + t.c_pkts.(fd).(ces);
-          bytes.(stage) <- bytes.(stage) + t.c_bytes.(fd).(ces)
-        end
-      done
+    if ces >= 0 then add_site_counters t ces stage pkts bytes fds
   done
 
 let reset_counters t =

@@ -7,6 +7,20 @@ type 'a proxy = {
 
 type fault_decision = Deliver | Drop | Delay of float
 
+(* Publishes and bytes of one topic class since the last reset. *)
+type bucket = { mutable b_pubs : int; mutable b_bytes : int }
+
+(* Everything the bus keeps per topic, reached with one hash of the topic
+   name per publish or subscribe. The class bucket is looked up (through
+   [topic_key] and the class table) on the first publish of each stats
+   generation and cached here until [reset_stats] starts the next one. *)
+type 'a topic = {
+  mutable subs : 'a sub list; (* newest first *)
+  mutable retained : ('a * int) option; (* payload, publisher site *)
+  mutable bucket : bucket;
+  mutable bucket_gen : int; (* stats generation [bucket] belongs to *)
+}
+
 type 'a t = {
   eng : Sb_sim.Engine.t;
   mode : mode;
@@ -16,9 +30,9 @@ type 'a t = {
   size_fn : ('a -> int) option;
   topic_key : string -> string;
   buffer : int;
+  num_sites : int;
   proxies : 'a proxy array;
-  subs : (string, 'a sub list ref) Hashtbl.t;
-  retained : (string, 'a * int) Hashtbl.t; (* payload, publisher site *)
+  topics : (string, 'a topic) Hashtbl.t;
   mutable published : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -27,11 +41,13 @@ type 'a t = {
   mutable next_msg : int; (* publish ordinal for the fault hook; never reset *)
   mutable wan_hook :
     (msg:int -> topic:string -> src:int -> dst:int -> fault_decision) option;
-  pair_last : (int * int, float) Hashtbl.t;
-  (* Last scheduled arrival per (src, dst) proxy pair. The proxies of a
-     site pair share one TCP connection, so deliveries between a pair are
-     FIFO: an arrival never lands before an earlier message of the same
-     pair — a fault-injected Delay pushes everything behind it back too. *)
+  pair_last : float array;
+  (* Last scheduled arrival per (src, dst) proxy pair, at
+     [src * num_sites + dst], [neg_infinity] before the pair's first copy.
+     The proxies of a site pair share one TCP connection, so deliveries
+     between a pair are FIFO: an arrival never lands before an earlier
+     message of the same pair — a fault-injected Delay pushes everything
+     behind it back too. *)
   (* Bounded latency reservoir (Algorithm R with a hash of the sample
      ordinal as the "random" index, so the retained sample is a
      deterministic function of the delivery sequence): the first
@@ -47,7 +63,8 @@ type 'a t = {
      reservoir mirrors the latency reservoir's Algorithm-R discipline. *)
   mutable published_bytes : int;
   mutable wan_bytes : int;
-  topic_acc : (string, (int * int) ref) Hashtbl.t; (* class -> publishes, bytes *)
+  topic_acc : (string, bucket) Hashtbl.t; (* class -> publishes, bytes *)
+  mutable stats_gen : int; (* bumped by [reset_stats] *)
   size_reservoir : int array;
   mutable size_count : int;
 }
@@ -95,9 +112,9 @@ let create eng ~mode ~num_sites ~delay ?(egress_rate = 20_000.) ?bandwidth
     size_fn;
     topic_key;
     buffer;
+    num_sites;
     proxies = Array.init num_sites (fun _ -> { busy_until = 0.; queued = 0 });
-    subs = Hashtbl.create 64;
-    retained = Hashtbl.create 64;
+    topics = Hashtbl.create 64;
     published = 0;
     delivered = 0;
     dropped = 0;
@@ -105,12 +122,13 @@ let create eng ~mode ~num_sites ~delay ?(egress_rate = 20_000.) ?bandwidth
     wan_messages = 0;
     next_msg = 0;
     wan_hook = None;
-    pair_last = Hashtbl.create 64;
+    pair_last = Array.make (num_sites * num_sites) neg_infinity;
     lat_reservoir = Array.make reservoir_capacity 0.;
     lat_count = 0;
     published_bytes = 0;
     wan_bytes = 0;
     topic_acc = Hashtbl.create 32;
+    stats_gen = 0;
     size_reservoir = Array.make reservoir_capacity 0;
     size_count = 0;
   }
@@ -136,23 +154,35 @@ let record_size (t : _ t) size =
     if j < reservoir_capacity then t.size_reservoir.(j) <- size
   end
 
-let account_publish (t : _ t) ~topic size =
+let no_bucket = { b_pubs = 0; b_bytes = 0 }
+
+let topic_of (t : _ t) topic =
+  match Hashtbl.find_opt t.topics topic with
+  | Some tp -> tp
+  | None ->
+    let tp = { subs = []; retained = None; bucket = no_bucket; bucket_gen = -1 } in
+    Hashtbl.replace t.topics topic tp;
+    tp
+
+let account_publish (t : _ t) tp ~topic size =
   t.published_bytes <- t.published_bytes + size;
   record_size t size;
-  let key = t.topic_key topic in
-  match Hashtbl.find_opt t.topic_acc key with
-  | Some r ->
-    let n, b = !r in
-    r := (n + 1, b + size)
-  | None -> Hashtbl.replace t.topic_acc key (ref (1, size))
-
-let topic_subs t topic =
-  match Hashtbl.find_opt t.subs topic with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.replace t.subs topic r;
-    r
+  if tp.bucket_gen <> t.stats_gen then begin
+    let key = t.topic_key topic in
+    let b =
+      match Hashtbl.find_opt t.topic_acc key with
+      | Some b -> b
+      | None ->
+        let b = { b_pubs = 0; b_bytes = 0 } in
+        Hashtbl.replace t.topic_acc key b;
+        b
+    in
+    tp.bucket <- b;
+    tp.bucket_gen <- t.stats_gen
+  end;
+  let b = tp.bucket in
+  b.b_pubs <- b.b_pubs + 1;
+  b.b_bytes <- b.b_bytes + size
 
 (* Serialize one message onto [src]'s egress; [deliver] fires after queueing
    plus the wide-area delay. Buffer overflow drops the message. [msg] is the
@@ -188,12 +218,9 @@ let send_wan (t : _ t) ~topic ~msg ~size ~src ~dst deliver =
          earlier message of the same pair. Without a fault hook the
          arrival sequence is already monotone per pair, so this is a
          no-op on the fault-free path. *)
-      let arrival =
-        match Hashtbl.find_opt t.pair_last (src, dst) with
-        | Some last -> Float.max arrival last
-        | None -> arrival
-      in
-      Hashtbl.replace t.pair_last (src, dst) arrival;
+      let pair = (src * t.num_sites) + dst in
+      let arrival = Float.max arrival t.pair_last.(pair) in
+      t.pair_last.(pair) <- arrival;
       ignore
         (Sb_sim.Engine.schedule_at t.eng ~time:finish (fun () ->
              proxy.queued <- proxy.queued - 1));
@@ -212,13 +239,14 @@ let deliver_one (t : _ t) ~publish_time ~count_latency (s : 'a sub) payload =
   s.s_callback payload
 
 let subscribe (t : _ t) ~site ~topic callback =
+  if site < 0 || site >= t.num_sites then invalid_arg "Bus.subscribe: site out of range";
   let now = Sb_sim.Engine.now t.eng in
   let s = { s_site = site; s_time = now; s_callback = callback } in
-  let r = topic_subs t topic in
-  r := s :: !r;
+  let tp = topic_of t topic in
+  tp.subs <- s :: tp.subs;
   (* Replay the retained payload once the filter reaches the publisher's
      proxy and the payload ships back. *)
-  match Hashtbl.find_opt t.retained topic with
+  match tp.retained with
   | None -> ()
   | Some (payload, publisher) ->
     let rtt = if publisher = site then local_delay else 2. *. t.delay site publisher in
@@ -232,10 +260,17 @@ let publish (t : _ t) ~site ~topic payload =
   t.published <- t.published + 1;
   t.next_msg <- t.next_msg + 1;
   let msg = t.next_msg in
-  let size = match t.size_fn with None -> 0 | Some f -> f payload in
-  if t.size_fn <> None then account_publish t ~topic size;
-  Hashtbl.replace t.retained topic (payload, site);
-  let all_subs = !(topic_subs t topic) in
+  let tp = topic_of t topic in
+  let size =
+    match t.size_fn with
+    | None -> 0
+    | Some f ->
+      let size = f payload in
+      account_publish t tp ~topic size;
+      size
+  in
+  tp.retained <- Some (payload, site);
+  let all_subs = tp.subs in
   let subs = List.filter (visible t ~publisher:site ~time:now) all_subs in
   (* A subscriber whose filter is still in flight towards this proxy gets
      the payload as a retained replay once the filter lands (the proxy
@@ -293,7 +328,11 @@ let publish (t : _ t) ~site ~topic payload =
     else send_wan t ~topic ~msg ~size ~src:site ~dst:reflector flood
   | Switchboard ->
     (* One copy per subscribing site; the remote proxy fans out locally. *)
-    let sites = List.sort_uniq compare (List.map (fun s -> s.s_site) subs) in
+    let sites =
+      match subs with
+      | [ s ] -> [ s.s_site ]
+      | _ -> List.sort_uniq Int.compare (List.map (fun s -> s.s_site) subs)
+    in
     List.iter
       (fun dst ->
         let local_subs = List.filter (fun s -> s.s_site = dst) subs in
@@ -331,7 +370,7 @@ let stats (t : _ t) =
     published_bytes = t.published_bytes;
     wan_bytes = t.wan_bytes;
     topic_bytes =
-      Hashtbl.fold (fun k r acc -> (k, fst !r, snd !r) :: acc) t.topic_acc []
+      Hashtbl.fold (fun k b acc -> (k, b.b_pubs, b.b_bytes) :: acc) t.topic_acc []
       |> List.sort compare;
     sizes = !sizes;
     size_count = t.size_count;
@@ -347,7 +386,10 @@ let reset_stats (t : _ t) =
   t.published_bytes <- 0;
   t.wan_bytes <- 0;
   Hashtbl.reset t.topic_acc;
+  t.stats_gen <- t.stats_gen + 1;
   t.size_count <- 0
 
 let subscriber_sites t ~topic =
-  List.sort_uniq compare (List.map (fun s -> s.s_site) !(topic_subs t topic))
+  match Hashtbl.find_opt t.topics topic with
+  | None -> []
+  | Some tp -> List.sort_uniq Int.compare (List.map (fun s -> s.s_site) tp.subs)

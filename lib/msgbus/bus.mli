@@ -14,7 +14,9 @@
     drops — the mechanism behind Fig. 9's order-of-magnitude latency gap
     and 57 % throughput gap.
 
-    Topics are strings (e.g. ["/c1/e3/vnf_O/site_B_forwarders"]). Topics
+    Topics are strings (e.g. ["/c1/e3/vnf_O/site_B_forwarders"]); the bus
+    keeps one record per topic (its subscribers, retained payload and
+    byte-accounting class), so a publish hashes its topic once. Topics
     are {e retained}: the proxy keeps the last payload and replays it to
     late subscribers after their filter install completes, which is what
     lets Switchboard "replicate control-plane state in a fine-grained
@@ -98,7 +100,8 @@ val create :
 val subscribe : 'a t -> site:int -> topic:string -> ('a -> unit) -> unit
 (** Install a subscription. The filter reaches the relevant proxies after a
     one-way control delay; once installed, the topic's retained payload (if
-    any) is delivered to the new subscriber. *)
+    any) is delivered to the new subscriber. Raises [Invalid_argument]
+    unless [0 <= site < num_sites]. *)
 
 val publish : 'a t -> site:int -> topic:string -> 'a -> unit
 (** Publish from a site; deliveries are scheduled on the engine. Local

@@ -1084,6 +1084,77 @@ let prop_lp_dominates_dp =
         >= Routing.max_alpha (Dp.solve ~rng:(Sb_util.Rng.create seed) m) -. 1e-6
       | Error _ -> false)
 
+(* Resolve's alternative-route scan runs the flat DP sweep unpruned on a
+   load state with chains lifted out, where a removal can leave tiny
+   negative residues. There it must pick [best_path]'s nodes, so the path
+   costs agree to the bit. *)
+let prop_resolve_sweep_matches_best_path =
+  QCheck.Test.make ~name:"unpruned flat sweep = best_path after lift-outs" ~count:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Sb_util.Rng.create seed in
+      let topo = Topology.backbone ~rng ~num_core:4 ~pops_per_core:1 () in
+      let params =
+        { Workload.default with Workload.num_chains = 8; num_vnfs = 6; max_chain_len = 4 }
+      in
+      let m = Workload.synthesize ~rng topo params in
+      let r = Dp.solve ~rng:(Sb_util.Rng.create seed) m in
+      let state = Load_state.of_instance (Routing.instance r) in
+      let add c nodes frac =
+        for z = 0 to Array.length nodes - 2 do
+          Load_state.add_stage_flow state ~chain:c ~stage:z ~src:nodes.(z)
+            ~dst:nodes.(z + 1) ~frac
+        done
+      in
+      let n = Model.num_chains m in
+      for c = 0 to n - 1 do
+        List.iter (fun (nodes, frac) -> add c nodes frac) (Routing.decompose_paths r ~chain:c)
+      done;
+      (* Lift a random share of a random subset of the chains back out. *)
+      for c = 0 to n - 1 do
+        if Sb_util.Rng.float rng 1. < 0.5 then begin
+          let keep = if Sb_util.Rng.bool rng then 0. else Sb_util.Rng.float rng 1. in
+          List.iter
+            (fun (nodes, frac) -> add c nodes (-.(frac *. (1. -. keep))))
+            (Routing.decompose_paths r ~chain:c)
+        end
+      done;
+      let cost util_weight c nodes =
+        let acc = ref 0. in
+        for z = 0 to Array.length nodes - 2 do
+          acc :=
+            !acc
+            +. Load_state.stage_cost state ~util_weight ~chain:c ~stage:z ~src:nodes.(z)
+                 ~dst:nodes.(z + 1)
+        done;
+        !acc
+      in
+      List.for_all
+        (fun util_weight ->
+          List.for_all
+            (fun c ->
+              List.for_all
+                (fun (ingress, _) ->
+                  List.for_all
+                    (fun (egress, _) ->
+                      let reference = Dp.best_path ~ingress ~egress state ~util_weight ~chain:c in
+                      let sweep =
+                        Dp.For_testing.best_path_sweep ~ingress ~egress state ~util_weight
+                          ~chain:c
+                      in
+                      match (reference, sweep) with
+                      | None, None -> true
+                      | Some a, Some b ->
+                        a = b
+                        && Int64.equal
+                             (Int64.bits_of_float (cost util_weight c a))
+                             (Int64.bits_of_float (cost util_weight c b))
+                      | _ -> false)
+                    (Model.chain_egresses m c))
+                (Model.chain_ingresses m c))
+            (List.init n Fun.id))
+        [ Dp.default_util_weight; 0.; 0.5 ])
+
 let prop_routing_packed_roundtrip =
   QCheck.Test.make ~name:"packed Routing round-trips the legacy list API" ~count:10
     QCheck.(int_range 0 1_000_000)
@@ -1411,5 +1482,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_schemes_always_valid;
           QCheck_alcotest.to_alcotest prop_lp_dominates_dp;
           QCheck_alcotest.to_alcotest prop_routing_packed_roundtrip;
+          QCheck_alcotest.to_alcotest prop_resolve_sweep_matches_best_path;
         ] );
     ]

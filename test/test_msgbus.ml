@@ -222,6 +222,12 @@ let test_subscriber_sites () =
     (Bus.subscriber_sites bus ~topic:"/t")
 
 
+let test_subscribe_site_out_of_range () =
+  let _, bus = make_bus ~num_sites:3 () in
+  Alcotest.check_raises "site = num_sites"
+    (Invalid_argument "Bus.subscribe: site out of range") (fun () ->
+      Bus.subscribe bus ~site:3 ~topic:"/t" (fun () -> ()))
+
 let test_reflector_floods_all_sites () =
   (* 6 sites, reflector at 5, subscribers only at site 1: publish from 0
      still produces 1 (to reflector) + 5 (flood) WAN messages. *)
@@ -383,6 +389,72 @@ let test_bytes_reset () =
   Alcotest.(check int) "size count reset" 0 s.Bus.size_count;
   Alcotest.(check (list (triple string int int))) "classes reset" [] s.Bus.topic_bytes
 
+(* The class tally is cached per topic; a reset must start it afresh, so
+   only the publish after the reset is counted. *)
+let test_topic_bytes_after_reset () =
+  let eng, bus = make_sized_bus () in
+  Bus.subscribe bus ~site:1 ~topic:"/t" (fun _ -> ());
+  ignore (Engine.schedule eng ~delay:1. (fun () -> Bus.publish bus ~site:0 ~topic:"/t" "abc"));
+  Engine.run eng;
+  Bus.reset_stats bus;
+  ignore (Engine.schedule eng ~delay:1. (fun () -> Bus.publish bus ~site:0 ~topic:"/t" "hello"));
+  Engine.run eng;
+  Alcotest.(check (list (triple string int int)))
+    "second publish only"
+    [ ("/t", 1, 5) ]
+    (Bus.stats bus).Bus.topic_bytes
+
+(* A copy the fault hook delays holds back every later copy of its site
+   pair (one shared connection), and no other pair. *)
+let test_delay_hook_pair_fifo () =
+  let eng, bus = make_bus ~num_sites:3 ~egress_rate:1e6 () in
+  let at_1 = ref [] and at_2 = ref nan in
+  Bus.subscribe bus ~site:1 ~topic:"/a" (fun v -> at_1 := (v, Engine.now eng) :: !at_1);
+  Bus.subscribe bus ~site:2 ~topic:"/b" (fun _ -> at_2 := Engine.now eng);
+  let delayed = ref false in
+  Bus.set_wan_hook bus (fun ~msg:_ ~topic:_ ~src ~dst ->
+      if src = 0 && dst = 1 && not !delayed then begin
+        delayed := true;
+        Bus.Delay 1.0
+      end
+      else Bus.Deliver);
+  ignore (Engine.schedule eng ~delay:1. (fun () -> Bus.publish bus ~site:0 ~topic:"/a" 1));
+  ignore
+    (Engine.schedule eng ~delay:1.1 (fun () ->
+         Bus.publish bus ~site:0 ~topic:"/a" 2;
+         Bus.publish bus ~site:0 ~topic:"/b" 3));
+  Engine.run eng;
+  let first = List.assoc 1 !at_1 and second = List.assoc 2 !at_1 in
+  Alcotest.(check bool) "delayed copy lands late" true (first > 2.);
+  Alcotest.(check bool)
+    (Printf.sprintf "later copy of the pair waits (%.4f >= %.4f)" second first)
+    true (second >= first);
+  Alcotest.(check (float 1e-3)) "other pair unaffected" 1.15 !at_2
+
+(* Overload: many more publishes and topics than the reservoir holds.
+   The size reservoir stays at its capacity while the count keeps the
+   true tally, and the per-class table stays one row per class. *)
+let test_bounds_under_overload () =
+  let eng, bus = make_sized_bus ~topic_key:Sb_ctrl.Types.topic_class () in
+  ignore
+    (Engine.schedule eng ~delay:1. (fun () ->
+         for i = 0 to 19_999 do
+           Bus.publish bus ~site:0
+             ~topic:(Sb_ctrl.Types.telemetry_topic ~chain:(i mod 10_000))
+             (String.make (1 + (i mod 7)) 'x')
+         done));
+  Engine.run eng;
+  let s = Bus.stats bus in
+  Alcotest.(check int) "every size counted" 20_000 s.Bus.size_count;
+  Alcotest.(check bool) "size reservoir bounded" true (List.length s.Bus.sizes <= 16_384);
+  let telemetry =
+    List.filter (fun (cls, _, _) -> String.starts_with ~prefix:"/telemetry/" cls) s.Bus.topic_bytes
+  in
+  Alcotest.(check (list (triple string int int)))
+    "one telemetry class row"
+    [ ("/telemetry/*", 20_000, s.Bus.published_bytes) ]
+    telemetry
+
 let () =
   Alcotest.run "sb_msgbus"
     [
@@ -407,11 +479,14 @@ let () =
             test_latency_reservoir_bounded;
           Alcotest.test_case "stats reset" `Quick test_stats_reset;
           Alcotest.test_case "subscriber sites" `Quick test_subscriber_sites;
+          Alcotest.test_case "subscribe site out of range" `Quick
+            test_subscribe_site_out_of_range;
           Alcotest.test_case "reflector floods all sites" `Quick
             test_reflector_floods_all_sites;
           Alcotest.test_case "reflector two-hop latency" `Quick test_reflector_two_hop_latency;
           Alcotest.test_case "reflector bottleneck" `Quick
             test_reflector_bottleneck_vs_switchboard;
+          Alcotest.test_case "delay hook keeps pair FIFO" `Quick test_delay_hook_pair_fifo;
         ] );
       ( "fig9",
         [
@@ -426,6 +501,8 @@ let () =
           Alcotest.test_case "bandwidth serialization" `Quick
             test_bandwidth_prices_serialization;
           Alcotest.test_case "bytes reset" `Quick test_bytes_reset;
+          Alcotest.test_case "topic bytes after reset" `Quick test_topic_bytes_after_reset;
+          Alcotest.test_case "bounds under overload" `Quick test_bounds_under_overload;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_delivery_count ]);
     ]
