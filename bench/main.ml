@@ -163,7 +163,8 @@ let fig9 () =
 module Csys = Sb_ctrl.System
 module Ct = Sb_ctrl.Types
 module Eng = Sb_sim.Engine
-module Fabric = Sb_dataplane.Fabric
+module Plane = Sb_dataplane.Plane
+module Shard = Sb_dataplane.Shard
 module Packet = Sb_dataplane.Packet
 
 let nat_vnf = 7
@@ -227,8 +228,8 @@ let fig10b () =
     end;
     (* Sample per-site admitted connections every 2 s. *)
     let rng = Rng.create 5 in
-    let site_of_instance i = Fabric.instance_site (Csys.fabric sys) i in
-    let fabric_site s = Fabric.forwarder_site (Csys.fabric sys) (Csys.site_forwarder sys s) in
+    let site_of_instance i = Shard.instance_site (Csys.shard sys) i in
+    let fabric_site s = Shard.forwarder_site (Csys.shard sys) (Csys.site_forwarder sys s) in
     let conns_site = [| 0; 0 |] in
     let samples = ref [] in
     for step = 1 to 200 do
@@ -238,12 +239,12 @@ let fig10b () =
       | Ok trace ->
         List.iter
           (fun i ->
-            if Fabric.instance_vnf (Csys.fabric sys) i = nat_vnf then begin
+            if Shard.instance_vnf (Csys.shard sys) i = nat_vnf then begin
               if site_of_instance i = fabric_site 0 then
                 conns_site.(0) <- conns_site.(0) + 1
               else conns_site.(1) <- conns_site.(1) + 1
             end)
-          (Fabric.instances_in_trace trace)
+          (Shard.instances_in_trace trace)
       | Error _ -> ());
       if step mod 20 = 0 then begin
         let tput s = Float.min (0.5 *. float_of_int conns_site.(s)) 10. in
@@ -322,7 +323,7 @@ let table2 () =
   (* Verify traffic actually flows from the new edge. *)
   match Csys.probe_chain sys ~chain ~ingress_site:2 (Packet.random_tuple (Rng.create 1)) with
   | Ok _ -> print_endline "probe from the new edge site traverses the chain: OK"
-  | Error e -> Format.printf "probe FAILED: %a@." Fabric.pp_error e
+  | Error e -> Format.printf "probe FAILED: %a@." Plane.pp_error e
 
 (* ------------------------------------------------------------------ *)
 (* Figure 11: E2E comparison vs distributed load balancing             *)
@@ -1056,19 +1057,18 @@ let big_model () =
   Workload.synthesize ~rng topo { Workload.default with Workload.num_chains = 128 }
 
 (* ------------------------------------------------------------------ *)
-(* Fabric packet-path kernels: seed per-call fabric vs packed plane     *)
+(* Packet-path kernels: seed per-call fabric vs packed plane            *)
 (* ------------------------------------------------------------------ *)
 
-module Legacy_fabric = Sb_dataplane.Legacy_fabric
+module Legacy_fabric = Sb_oracle.Legacy_fabric
 
-(* Both engines keep the seed construction signatures (the packed plane
-   fronts them as [Fabric]), so one builder parameterised over a
-   first-class module gives both sides identical ids and identical RNG
-   draw sequences. *)
+(* Both engines keep the seed construction signatures, so one builder
+   parameterised over a first-class module gives both sides identical ids
+   and identical RNG draw sequences. *)
 module type FABRIC_BUILD = sig
   type t
 
-  val create : ?seed:int -> ?flow_store:Fabric.flow_store -> unit -> t
+  val create : ?seed:int -> ?flow_store:Plane.flow_store -> unit -> t
   val add_site : t -> string -> int
   val add_forwarder : t -> site:int -> int
   val add_edge : t -> site:int -> forwarder:int -> int
@@ -1078,15 +1078,15 @@ module type FABRIC_BUILD = sig
 
   val install_rule :
     t -> forwarder:int -> chain_label:int -> egress_label:int -> stage:int ->
-    (Fabric.endpoint * float) list -> unit
+    (Plane.endpoint * float) list -> unit
 
   val install_rx_rule :
     t -> forwarder:int -> chain_label:int -> egress_label:int -> stage:int ->
-    (Fabric.endpoint * float) list -> unit
+    (Plane.endpoint * float) list -> unit
 
   val send_forward :
     t -> ingress:int -> chain_label:int -> egress_label:int -> ?size:int ->
-    Packet.five_tuple -> (Fabric.endpoint list, Fabric.error) result
+    Packet.five_tuple -> (Plane.endpoint list, Plane.error) result
 end
 
 (* The sb_chaos harness topology: six sites with one forwarder and one
@@ -1129,10 +1129,10 @@ let build_chaos_fabric (type ft) (module F : FABRIC_BUILD with type t = ft)
         let src = if z = 0 then ingress_site else route.(z - 1) in
         let dst = route.(z) in
         let targets =
-          if z = n - 1 then [ (Fabric.Edge edge.(dst), 1.0) ]
+          if z = n - 1 then [ (Plane.Edge edge.(dst), 1.0) ]
           else
             List.map
-              (fun i -> (Fabric.Vnf_instance i, 1.0))
+              (fun i -> (Plane.Vnf_instance i, 1.0))
               (Hashtbl.find insts (vnfs.(z), dst))
         in
         if src = dst then
@@ -1141,7 +1141,7 @@ let build_chaos_fabric (type ft) (module F : FABRIC_BUILD with type t = ft)
         else begin
           F.install_rule fab ~forwarder:fwd.(src) ~chain_label:label
             ~egress_label ~stage:z
-            [ (Fabric.Forwarder fwd.(dst), 1.0) ];
+            [ (Plane.Forwarder fwd.(dst), 1.0) ];
           F.install_rx_rule fab ~forwarder:fwd.(dst) ~chain_label:label
             ~egress_label ~stage:z targets
         end
@@ -1174,8 +1174,6 @@ let build_warm_chaos_fabric (type ft) (module F : FABRIC_BUILD with type t = ft)
     chaos_tuples;
   (fab, entry, fwd)
 
-module Shard = Sb_dataplane.Shard
-
 (* The sharded fabric behind the common builder interface, with the lane
    count baked in. *)
 let shard_build nlanes : (module FABRIC_BUILD with type t = Shard.t) =
@@ -1199,50 +1197,50 @@ let micro () =
   header "Microbenchmarks (Bechamel, monotonic clock)";
   let open Bechamel in
   let flow_table_bench =
-    let table : int Sb_dataplane.Flow_table.t = Sb_dataplane.Flow_table.create () in
+    let table : int Sb_oracle.Flow_table.t = Sb_oracle.Flow_table.create () in
     let rng = Rng.create 3 in
     let keys =
       Array.init 4096 (fun i ->
           let k =
             {
-              Sb_dataplane.Flow_table.chain_label = i mod 7;
+              Sb_oracle.Flow_table.chain_label = i mod 7;
               egress_label = i mod 3;
               stage = i mod 4;
               flow = Packet.random_tuple rng;
             }
           in
-          Sb_dataplane.Flow_table.insert table k { Sb_dataplane.Flow_table.next = i; prev = i };
+          Sb_oracle.Flow_table.insert table k { Sb_oracle.Flow_table.next = i; prev = i };
           k)
     in
     let i = ref 0 in
     Test.make ~name:"flow_table lookup (4K entries)"
       (Staged.stage (fun () ->
            incr i;
-           ignore (Sb_dataplane.Flow_table.find table keys.(!i land 4095))))
+           ignore (Sb_oracle.Flow_table.find table keys.(!i land 4095))))
   in
   let fabric_bench =
-    let fab = Fabric.create () in
-    let s = Fabric.add_site fab "A" in
-    let f = Fabric.add_forwarder fab ~site:s in
-    let ein = Fabric.add_edge fab ~site:s ~forwarder:f in
-    let eout = Fabric.add_edge fab ~site:s ~forwarder:f in
-    let v = Fabric.add_vnf_instance fab ~vnf:1 ~site:s ~forwarder:f () in
-    Fabric.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:0
-      [ (Fabric.Vnf_instance v, 1.) ];
-    Fabric.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:1
-      [ (Fabric.Edge eout, 1.) ];
+    let fab = Plane.create () in
+    let s = Plane.add_site fab "A" in
+    let f = Plane.add_forwarder fab ~site:s in
+    let ein = Plane.add_edge fab ~site:s ~forwarder:f in
+    let eout = Plane.add_edge fab ~site:s ~forwarder:f in
+    let v = Plane.add_vnf_instance fab ~vnf:1 ~site:s ~forwarder:f () in
+    Plane.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:0
+      [ (Plane.Vnf_instance v, 1.) ];
+    Plane.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:1
+      [ (Plane.Edge eout, 1.) ];
     let rng = Rng.create 4 in
     let tuples = Array.init 1024 (fun _ -> Packet.random_tuple rng) in
     (* Warm the flow table so the bench measures the fast path. *)
     Array.iter
-      (fun tp -> ignore (Fabric.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 tp))
+      (fun tp -> ignore (Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 tp))
       tuples;
     let i = ref 0 in
     Test.make ~name:"fabric packet (1-VNF chain, warm flow table)"
       (Staged.stage (fun () ->
            incr i;
            ignore
-             (Fabric.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1
+             (Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1
                 tuples.(!i land 1023))))
   in
   let dp_bench =
@@ -1394,17 +1392,17 @@ let micro () =
      Replicated-2 flow stores. Warm flow tables: every packet hits the
      established-connection path, the regime packets/sec is quoted in. *)
   let fab_seed_local, e_seed_local, _ =
-    build_warm_chaos_fabric (module Legacy_fabric) ~flow_store:Fabric.Local
+    build_warm_chaos_fabric (module Legacy_fabric) ~flow_store:Plane.Local
   in
   let fab_packed_local, e_packed_local, _ =
-    build_warm_chaos_fabric (module Fabric) ~flow_store:Fabric.Local
+    build_warm_chaos_fabric (module Plane) ~flow_store:Plane.Local
   in
   let fab_seed_repl, e_seed_repl, _ =
     build_warm_chaos_fabric (module Legacy_fabric)
-      ~flow_store:(Fabric.Replicated 2)
+      ~flow_store:(Plane.Replicated 2)
   in
   let fab_packed_repl, e_packed_repl, _ =
-    build_warm_chaos_fabric (module Fabric) ~flow_store:(Fabric.Replicated 2)
+    build_warm_chaos_fabric (module Plane) ~flow_store:(Plane.Replicated 2)
   in
   let fabric_kernel name send =
     let i = ref 0 in
@@ -1424,7 +1422,7 @@ let micro () =
   let drive_arm fab entry i =
     let label, ein, eg = entry.(i mod 3) in
     ignore
-      (Fabric.drive fab ~ingress:ein ~chain_label:label ~egress_label:eg
+      (Plane.drive fab ~ingress:ein ~chain_label:label ~egress_label:eg
          ~size:500 chaos_tuples.(i land 1023))
   in
   let fabric_seed_local_bench =
@@ -1433,7 +1431,7 @@ let micro () =
   in
   let fabric_packed_local_bench =
     fabric_kernel "fabric pkt x32/packed-local"
-      (send_arm (module Fabric) fab_packed_local e_packed_local)
+      (send_arm (module Plane) fab_packed_local e_packed_local)
   in
   let fabric_drive_local_bench =
     fabric_kernel "fabric drive x32/packed-local"
@@ -1445,7 +1443,7 @@ let micro () =
   in
   let fabric_packed_repl_bench =
     fabric_kernel "fabric pkt x32/packed-repl2"
-      (send_arm (module Fabric) fab_packed_repl e_packed_repl)
+      (send_arm (module Plane) fab_packed_repl e_packed_repl)
   in
   let fabric_drive_repl_bench =
     fabric_kernel "fabric drive x32/packed-repl2"
@@ -1460,7 +1458,7 @@ let micro () =
     Array.map
       (fun lanes ->
         let sf, entry, _ =
-          build_warm_chaos_fabric (shard_build lanes) ~flow_store:Fabric.Local
+          build_warm_chaos_fabric (shard_build lanes) ~flow_store:Plane.Local
         in
         (lanes, sf, entry))
       shard_lane_counts
@@ -1668,7 +1666,7 @@ let micro () =
           for i = 1 to pps_packets do
             let label, ein, eg = entry.(i mod 3) in
             ignore
-              (Fabric.drive fab ~ingress:ein ~chain_label:label ~egress_label:eg
+              (Plane.drive fab ~ingress:ein ~chain_label:label ~egress_label:eg
                  ~size:500 chaos_tuples.(i land 1023))
           done)
     in
@@ -1718,13 +1716,9 @@ let micro () =
     close_out oc;
     print_endline "wrote BENCH_fabric.json"
   end;
-  (* Sharded scale-out walls (Fig 8's per-core scale-out, measured). Two
-     series, because the CI box may have fewer cores than lanes:
-     [wallclock] drives batches through [Shard.drive_batch] — pool
-     handoff included — and is only a speedup when real cores back the
-     lanes; [capacity] times each lane alone draining its own partition
-     inline on its private plane and sums the rates — the throughput D
-     pinned cores would sustain, comparable across machines. *)
+  (* Sharded scale-out walls: batches driven through [Shard.drive_batch],
+     pool handoff included, on whatever cores exist — only a speedup when
+     real cores back the lanes. *)
   let per_chain = Array.init 3 chain_tuples in
   let shard_wall_pps (_lanes, sf, entry) =
     let total = ref 0 in
@@ -1742,48 +1736,15 @@ let micro () =
     in
     float_of_int !total /. w
   in
-  let shard_capacity_pps (lanes, sf, entry) =
-    let parts = Array.make lanes [] in
-    Array.iteri
-      (fun j tp -> parts.(Shard.lane_of sf tp) <- (j mod 3, tp) :: parts.(Shard.lane_of sf tp))
-      chaos_tuples;
-    let per_lane_target = max 20_000 (pps_packets / lanes) in
-    let rate = ref 0. in
-    for l = 0 to lanes - 1 do
-      let part = Array.of_list parts.(l) in
-      let n = Array.length part in
-      if n > 0 then begin
-        let plane = Shard.lane sf l in
-        let reps = max 1 (per_lane_target / n) in
-        let w =
-          wall (fun () ->
-              for _ = 1 to reps do
-                Array.iter
-                  (fun (c, tp) ->
-                    let label, ein, eg = entry.(c) in
-                    ignore
-                      (Fabric.drive plane ~ingress:ein ~chain_label:label
-                         ~egress_label:eg ~size:500 tp))
-                  part
-              done)
-        in
-        rate := !rate +. (float_of_int (reps * n) /. w)
-      end
-    done;
-    !rate
-  in
   let shard_wall = Array.map shard_wall_pps shards in
-  let shard_cap = Array.map shard_capacity_pps shards in
   let cores = Sb_util.Par.default_domains () in
-  let st = Table.create ~header:[ "lanes"; "wallclock Mpps"; "capacity Mpps"; "cap x vs D1" ] in
+  let st = Table.create ~header:[ "lanes"; "wallclock Mpps" ] in
   Array.iteri
     (fun i (lanes, _, _) ->
       Table.add_row st
         [
           string_of_int lanes;
           Printf.sprintf "%.2f" (shard_wall.(i) /. 1e6);
-          Printf.sprintf "%.2f" (shard_cap.(i) /. 1e6);
-          Printf.sprintf "%.2f" (shard_cap.(i) /. shard_cap.(0));
         ])
     shards;
   Printf.printf "\nsharded fabric scale-out (%d core(s) available):\n" cores;
@@ -1804,7 +1765,7 @@ let micro () =
   let bytes_per_conn = ref 0. in
   let sweep_seed = 0xACC in
   let sweep_fab, sweep_entry, sweep_fwd =
-    build_chaos_fabric (module Fabric) ~flow_store:Fabric.Local
+    build_chaos_fabric (module Plane) ~flow_store:Plane.Local
   in
   let sweep_gen = Rng.create sweep_seed in
   let inserted = ref 0 in
@@ -1818,14 +1779,14 @@ let micro () =
             let tp = Packet.random_tuple sweep_gen in
             let label, ein, eg = sweep_entry.(!inserted mod 3) in
             ignore
-              (Fabric.drive sweep_fab ~ingress:ein ~chain_label:label
+              (Plane.drive sweep_fab ~ingress:ein ~chain_label:label
                  ~egress_label:eg ~size:500 tp);
             incr inserted
           done;
           let entries = ref 0 and cap = ref 0 and probe = ref 0 in
           Array.iter
             (fun f ->
-              let c, k, p = Fabric.flow_table_stats sweep_fab ~forwarder:f in
+              let c, k, p = Plane.flow_table_stats sweep_fab ~forwarder:f in
               entries := !entries + c;
               cap := !cap + k;
               probe := max !probe p)
@@ -1851,13 +1812,13 @@ let micro () =
                   for i = 0 to !filled - 1 do
                     let (label, ein, eg), tp = sample.(i) in
                     ignore
-                      (Fabric.drive sweep_fab ~ingress:ein ~chain_label:label
+                      (Plane.drive sweep_fab ~ingress:ein ~chain_label:label
                          ~egress_label:eg ~size:500 tp)
                   done
                 done)
           in
           let pps = float_of_int (passes * !filled) /. w in
-          let bytes = float_of_int (Fabric.flow_table_bytes sweep_fab) in
+          let bytes = float_of_int (Plane.flow_table_bytes sweep_fab) in
           bytes_per_conn := bytes /. float_of_int target;
           `Measured (target, !entries, !cap, !probe, mib bytes, pps)
         end)
@@ -1900,9 +1861,7 @@ let micro () =
     Printf.fprintf oc "  \"cores_available\": %d,\n" cores;
     Printf.fprintf oc
       "  \"methodology\": \"wallclock = Shard.drive_batch incl. pool handoff \
-       on whatever cores exist; capacity = per-lane isolated rates summed \
-       (each lane drains its own RSS partition inline on its private \
-       plane), i.e. the throughput of one pinned core per lane\",\n";
+       on whatever cores exist\",\n";
     let has_sub s sub =
       let n = String.length s and m = String.length sub in
       let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -1929,19 +1888,6 @@ let micro () =
                  shards)))
     in
     series "pps_wallclock" shard_wall;
-    series "pps_capacity" shard_cap;
-    let idx_of n =
-      let r = ref (-1) in
-      Array.iteri (fun i (l, _, _) -> if l = n then r := i) shards;
-      !r
-    in
-    let cap_of n = shard_cap.(idx_of n) in
-    Printf.fprintf oc "  \"scaleout\": {\n";
-    Printf.fprintf oc "    \"capacity_2_over_1\": %.2f,\n" (cap_of 2 /. cap_of 1);
-    Printf.fprintf oc "    \"capacity_4_over_1\": %.2f,\n" (cap_of 4 /. cap_of 1);
-    Printf.fprintf oc "    \"capacity_8_over_1\": %.2f,\n" (cap_of 8 /. cap_of 1);
-    Printf.fprintf oc "    \"monotone_1_2_4\": %b\n  },\n"
-      (cap_of 2 > cap_of 1 && cap_of 4 > cap_of 2);
     Printf.fprintf oc "  \"occupancy_sweep\": [\n%s\n  ]\n}\n"
       (String.concat ",\n"
          (Array.to_list

@@ -1,6 +1,6 @@
 module Bus = Sb_msgbus.Bus
 module Engine = Sb_sim.Engine
-module Fabric = Sb_dataplane.Fabric
+module Plane = Sb_dataplane.Plane
 module DP = Sb_dataplane.Shard
 open Types
 
@@ -106,9 +106,9 @@ type local_sb = {
   ls_instance_info : (int * int * int, (int * float) list) Hashtbl.t;
   (* (chain, vnf, site) -> instances *)
   ls_fwd_info : (int * int * int, (int * float) list) Hashtbl.t;
-  ls_installed : (int * int * int, (Fabric.endpoint * float) list) Hashtbl.t;
+  ls_installed : (int * int * int, (Plane.endpoint * float) list) Hashtbl.t;
   (* (chain, egress, stage) -> last installed rule *)
-  ls_installed_rx : (int * int * int, (Fabric.endpoint * float) list) Hashtbl.t;
+  ls_installed_rx : (int * int * int, (Plane.endpoint * float) list) Hashtbl.t;
   (* (chain, egress, stage) -> last installed receiver-side rule *)
   ls_published_weight : (int * int, float) Hashtbl.t; (* (chain, vnf) -> weight *)
   ls_subscribed : (string, unit) Hashtbl.t;
@@ -133,7 +133,7 @@ type churn = {
 type t = {
   eng : Engine.t;
   bus : msg Bus.t;
-  fabric : DP.t;
+  shard : DP.t;
   sites : site_info array;
   locals : local_sb array;
   gsb_site : int;
@@ -187,9 +187,8 @@ let set_logging t enabled = t.log_enabled <- enabled
 
 let engine t = t.eng
 let bus t = t.bus
-let fabric t = DP.lane t.fabric 0
-let shard t = t.fabric
-let lanes t = DP.lanes t.fabric
+let shard t = t.shard
+let lanes t = DP.lanes t.shard
 let site_forwarder t s = List.hd t.sites.(s).forwarders
 let site_forwarders t s = t.sites.(s).forwarders
 let site_edge t s = t.sites.(s).edge
@@ -242,16 +241,16 @@ let compute_stage_rule t ls (lc : local_chain) stage =
         | Some ((_ :: _) as insts) ->
           List.iter
             (fun (i, w) ->
-              add (Fabric.Vnf_instance i) (weight *. w);
-              add_rx (Fabric.Vnf_instance i) (weight *. w))
+              add (Plane.Vnf_instance i) (weight *. w);
+              add_rx (Plane.Vnf_instance i) (weight *. w))
             insts
         | Some [] | None -> missing := true
       in
       let local_egress () =
         match t.sites.(ls.ls_site).edge with
         | Some e ->
-          add (Fabric.Edge e) weight;
-          add_rx (Fabric.Edge e) weight
+          add (Plane.Edge e) weight;
+          add_rx (Plane.Edge e) weight
         | None -> missing := true
       in
       if s_z = ls.ls_site then begin
@@ -263,12 +262,12 @@ let compute_stage_rule t ls (lc : local_chain) stage =
              share over the forwarders the next VNF's site published, each
              weighted by its attached-instance weight (Section 5.2). *)
           if next_vnf = -2 then
-            add (Fabric.Forwarder (List.hd t.sites.(s_z1).forwarders)) weight
+            add (Plane.Forwarder (List.hd t.sites.(s_z1).forwarders)) weight
           else
             match Hashtbl.find_opt ls.ls_fwd_info (lc.lc_id, next_vnf, s_z1) with
             | Some ((_ :: _) as fwds) ->
               List.iter
-                (fun (f, w) -> add (Fabric.Forwarder f) (weight *. Float.max w 1e-9))
+                (fun (f, w) -> add (Plane.Forwarder f) (weight *. Float.max w 1e-9))
                 fwds
             | Some [] | None -> missing := true
         end
@@ -326,11 +325,11 @@ let try_install t ls (lc : local_chain) =
     let patches =
       List.concat_map
         (fun (stage, rule, rx) ->
-          { Fabric.rp_chain = lc.lc_id; rp_egress = egress; rp_stage = stage;
+          { Plane.rp_chain = lc.lc_id; rp_egress = egress; rp_stage = stage;
             rp_rx = false; rp_targets = rule }
           :: (match rx with
              | Some r ->
-               [ { Fabric.rp_chain = lc.lc_id; rp_egress = egress; rp_stage = stage;
+               [ { Plane.rp_chain = lc.lc_id; rp_egress = egress; rp_stage = stage;
                    rp_rx = true; rp_targets = r } ]
              | None -> []))
         changed
@@ -338,7 +337,7 @@ let try_install t ls (lc : local_chain) =
     ignore
       (Engine.schedule t.eng ~delay:t.install_latency (fun () ->
            List.iter
-             (fun forwarder -> ignore (DP.apply_delta t.fabric ~forwarder patches))
+             (fun forwarder -> ignore (DP.apply_delta t.shard ~forwarder patches))
              t.sites.(ls.ls_site).forwarders;
            List.iter
              (fun (stage, rule, _) ->
@@ -366,7 +365,7 @@ let maybe_publish_forwarder_weight t ls (lc : local_chain) vnf =
       let per_forwarder =
         List.filter_map
           (fun f ->
-            let w = DP.forwarder_published_weight t.fabric f vnf in
+            let w = DP.forwarder_published_weight t.shard f vnf in
             if w > 0. then Some (f, w) else None)
           t.sites.(ls.ls_site).forwarders
       in
@@ -919,11 +918,11 @@ let create ?(seed = 11) ?(install_latency = 0.09) ?(egress_rate = 20_000.)
     Bus.create eng ~mode:Bus.Switchboard ~num_sites ~delay ~egress_rate
       ?bandwidth:bus_bandwidth ~size_fn:msg_size ~topic_key:topic_class ()
   in
-  let fabric = DP.create ~seed ?flow_store ~lanes () in
+  let shard = DP.create ~seed ?flow_store ~lanes () in
   let sites =
     Array.init num_sites (fun i ->
-        let fab_site = DP.add_site fabric (Printf.sprintf "site%d" i) in
-        let forwarder = DP.add_forwarder fabric ~site:fab_site in
+        let fab_site = DP.add_site shard (Printf.sprintf "site%d" i) in
+        let forwarder = DP.add_forwarder shard ~site:fab_site in
         { fab_site; forwarders = [ forwarder ]; edge = None })
   in
   let locals =
@@ -944,7 +943,7 @@ let create ?(seed = 11) ?(install_latency = 0.09) ?(egress_rate = 20_000.)
     {
       eng;
       bus;
-      fabric;
+      shard;
       sites;
       locals;
       gsb_site;
@@ -1059,7 +1058,7 @@ let deploy_vnf t ~vnf ~site ~capacity ~instances =
   let fwds = Array.of_list t.sites.(site).forwarders in
   let ids =
     List.init instances (fun i ->
-        DP.add_vnf_instance t.fabric ~vnf ~site:t.sites.(site).fab_site
+        DP.add_vnf_instance t.shard ~vnf ~site:t.sites.(site).fab_site
           ~forwarder:fwds.(i mod Array.length fwds) ())
   in
   let existing = match Hashtbl.find_opt v.v_instances site with Some l -> l | None -> [] in
@@ -1071,7 +1070,7 @@ let register_edge t ~site ~attachment =
     match info.edge with
     | Some e -> e
     | None ->
-      let e = DP.add_edge t.fabric ~site:info.fab_site ~forwarder:(List.hd info.forwarders) in
+      let e = DP.add_edge t.shard ~site:info.fab_site ~forwarder:(List.hd info.forwarders) in
       info.edge <- Some e;
       e
   in
@@ -1156,11 +1155,11 @@ let add_edge_site t ~chain ~site =
           ignore
             (Engine.schedule t.eng ~delay:t.install_latency (fun () ->
                  let rule =
-                   List.map (fun (f, w) -> (Fabric.Forwarder f, Float.max w 1.)) forwarders
+                   List.map (fun (f, w) -> (Plane.Forwarder f, Float.max w 1.)) forwarders
                  in
                  List.iter
                    (fun forwarder ->
-                     DP.install_rule t.fabric ~forwarder ~chain_label:chain
+                     DP.install_rule t.shard ~forwarder ~chain_label:chain
                        ~egress_label:egress ~stage:0 rule)
                    t.sites.(site).forwarders;
                  logf t (fun m ->
@@ -1179,7 +1178,7 @@ let add_edge_site t ~chain ~site =
 
 let add_forwarder t ~site =
   let info = t.sites.(site) in
-  let forwarder = DP.add_forwarder t.fabric ~site:info.fab_site in
+  let forwarder = DP.add_forwarder t.shard ~site:info.fab_site in
   info.forwarders <- info.forwarders @ [ forwarder ];
   (* The Local Switchboard replays the site's current rules onto the new
      forwarder once it is configured. *)
@@ -1188,12 +1187,12 @@ let add_forwarder t ~site =
     (Engine.schedule t.eng ~delay:t.install_latency (fun () ->
          Hashtbl.iter
            (fun (chain, egress, stage) rule ->
-             DP.install_rule t.fabric ~forwarder ~chain_label:chain
+             DP.install_rule t.shard ~forwarder ~chain_label:chain
                ~egress_label:egress ~stage rule)
            ls.ls_installed;
          Hashtbl.iter
            (fun (chain, egress, stage) rule ->
-             DP.install_rx_rule t.fabric ~forwarder ~chain_label:chain
+             DP.install_rx_rule t.shard ~forwarder ~chain_label:chain
                ~egress_label:egress ~stage rule)
            ls.ls_installed_rx;
          logf t (fun m ->
@@ -1213,7 +1212,7 @@ let scale_vnf_instances t ~vnf ~site ~count =
   let existing = match Hashtbl.find_opt v.v_instances site with Some l -> l | None -> [] in
   let fresh =
     List.init count (fun i ->
-        DP.add_vnf_instance t.fabric ~vnf ~site:t.sites.(site).fab_site
+        DP.add_vnf_instance t.shard ~vnf ~site:t.sites.(site).fab_site
           ~forwarder:fwds.((List.length existing + i) mod Array.length fwds)
           ())
   in
@@ -1242,7 +1241,7 @@ let scale_vnf_instances t ~vnf ~site ~count =
 
 let probe_chain t ~chain ?ingress_site tuple =
   match Hashtbl.find_opt t.chains chain with
-  | None -> Error Fabric.Not_an_edge
+  | None -> Error Plane.Not_an_edge
   | Some cs -> (
     let site =
       match ingress_site with
@@ -1251,16 +1250,16 @@ let probe_chain t ~chain ?ingress_site tuple =
     in
     match (t.sites.(site).edge, cs.c_egress) with
     | Some edge, Some egress ->
-      DP.send_forward t.fabric ~ingress:edge ~chain_label:chain ~egress_label:egress
+      DP.send_forward t.shard ~ingress:edge ~chain_label:chain ~egress_label:egress
         tuple
-    | _ -> Error Fabric.Not_an_edge)
+    | _ -> Error Plane.Not_an_edge)
 
 let chain_measurements t ~chain =
   match Hashtbl.find_opt t.chains chain with
   | Some { c_egress = Some egress; c_spec; _ } ->
     let stages = List.length c_spec.vnfs + 1 in
     Array.init stages (fun stage ->
-        DP.stage_counters t.fabric ~chain_label:chain ~egress_label:egress ~stage)
+        DP.stage_counters t.shard ~chain_label:chain ~egress_label:egress ~stage)
   | Some _ | None -> [||]
 
 (* Per-site view of the same counters, via the Local Switchboard's chain
@@ -1287,7 +1286,7 @@ let site_chain_measurements_into t ~site ~chain ~pkts ~bytes =
     let stages = List.length lc.lc_spec.vnfs + 1 in
     if Array.length pkts < stages || Array.length bytes < stages then
       invalid_arg "System.site_chain_measurements_into: buffers too small";
-    DP.site_stage_counters_into t.fabric ~site:t.sites.(site).fab_site
+    DP.site_stage_counters_into t.shard ~site:t.sites.(site).fab_site
       ~chain_label:chain ~egress_label:lc.lc_egress ~pkts ~bytes;
     stages
   | None -> -1
@@ -1297,7 +1296,7 @@ let site_chain_version t ~site ~chain =
     (fun lc -> lc.lc_version)
     (Hashtbl.find_opt t.locals.(site).ls_known chain)
 
-let reset_measurements t = DP.reset_counters t.fabric
+let reset_measurements t = DP.reset_counters t.shard
 
 let vnf_committed_load t ~vnf ~site =
   match Hashtbl.find_opt t.vnf_ctls vnf with
@@ -1339,14 +1338,14 @@ let drain_and_remove t ~vnf ~site ?(poll_interval = 0.25) ?timeout ?on_done () =
       invalid_arg "System.drain_and_remove: vnf not deployed at site"
   in
   let started = Engine.now t.eng in
-  let saved = List.map (fun i -> (i, DP.instance_weight t.fabric i)) ids in
+  let saved = List.map (fun i -> (i, DP.instance_weight t.shard i)) ids in
   (* Phase 1: stop new-flow assignment. Zeroing the balancer weights hides
      the instances from decentralized pickers ([site_vnf_instances]); the
      routed path stops sending new connections because the caller has
      already committed a route set that excludes this site through the
      delta 2PC. Established connections keep their flow-table pins (flow
      affinity) and bleed away through the expiry clock. *)
-  List.iter (fun i -> DP.set_instance_weight t.fabric i 0.) ids;
+  List.iter (fun i -> DP.set_instance_weight t.shard i 0.) ids;
   t.churn_draining <- t.churn_draining + 1;
   logf t (fun m ->
       m "vnf %d: draining %d instance(s) at site %d" vnf (List.length ids) site);
@@ -1357,7 +1356,7 @@ let drain_and_remove t ~vnf ~site ?(poll_interval = 0.25) ?timeout ?on_done () =
          pins a connection to these instances and the VNF controller
          holds no committed load here, so failing them blackholes
          nothing — the drain-safety invariant sb_chaos checks. *)
-      List.iter (fun i -> DP.fail_instance t.fabric i) ids;
+      List.iter (fun i -> DP.fail_instance t.shard i) ids;
       Hashtbl.remove v.v_instances site;
       Hashtbl.remove v.v_capacity site;
       t.churn_removed <- t.churn_removed + 1;
@@ -1372,7 +1371,7 @@ let drain_and_remove t ~vnf ~site ?(poll_interval = 0.25) ?timeout ?on_done () =
       (* Abort: restore the saved weights — the deployment stays exactly
          as it was before the drain started. Atomicity under coordinator
          failure: a half-done drain never retracts anything. *)
-      List.iter (fun (i, w) -> DP.set_instance_weight t.fabric i w) saved;
+      List.iter (fun (i, w) -> DP.set_instance_weight t.shard i w) saved;
       t.churn_drains_aborted <- t.churn_drains_aborted + 1;
       logf t (fun m -> m "vnf %d: drain aborted at site %d" vnf site)
     end;
@@ -1388,7 +1387,7 @@ let drain_and_remove t ~vnf ~site ?(poll_interval = 0.25) ?timeout ?on_done () =
     else begin
       let committed = vnf_committed_load t ~vnf ~site in
       let occ =
-        List.fold_left (fun a i -> a + DP.instance_flow_count t.fabric i) 0 ids
+        List.fold_left (fun a i -> a + DP.instance_flow_count t.shard i) 0 ids
       in
       if committed <= 1e-9 && occ = 0 then finish true
       else ignore (Engine.schedule t.eng ~delay:poll_interval poll)
@@ -1450,8 +1449,8 @@ let site_vnf_instances t ~site ~vnf =
     | Some ids ->
       List.sort compare ids
       |> List.filter_map (fun id ->
-             if DP.instance_alive t.fabric id then
-               let w = DP.instance_weight t.fabric id in
+             if DP.instance_alive t.shard id then
+               let w = DP.instance_weight t.shard id in
                if w > 0. then Some (id, w) else None
              else None))
 
@@ -1466,7 +1465,7 @@ let site_vnf_instance_ids t ~site ~vnf =
 let site_vnf_forwarder_weights t ~site ~vnf =
   List.filter_map
     (fun f ->
-      let w = DP.forwarder_published_weight t.fabric f vnf in
+      let w = DP.forwarder_published_weight t.shard f vnf in
       if w > 0. then Some (f, w) else None)
     t.sites.(site).forwarders
 
@@ -1481,7 +1480,7 @@ let site_deployed_vnfs t ~site =
 
 let site_stage_packets t ~site ~chain ~egress ~stage =
   fst
-    (DP.site_stage_counters t.fabric ~site:t.sites.(site).fab_site
+    (DP.site_stage_counters t.shard ~site:t.sites.(site).fab_site
        ~chain_label:chain ~egress_label:egress ~stage)
 
 let apply_site_patches t ~site patches =
@@ -1489,7 +1488,7 @@ let apply_site_patches t ~site patches =
     ignore
       (Engine.schedule t.eng ~delay:t.install_latency (fun () ->
            List.iter
-             (fun forwarder -> ignore (DP.apply_delta t.fabric ~forwarder patches))
+             (fun forwarder -> ignore (DP.apply_delta t.shard ~forwarder patches))
              t.sites.(site).forwarders))
 
 let attach_store t store = t.store <- Some store

@@ -1,5 +1,5 @@
-(* The compiled (packed) dataplane: the Fabric contract over id-dense flat
-   arrays instead of hashtables of boxed keys.
+(* The compiled (packed) dataplane: the Section 5 forwarder contract over
+   id-dense flat arrays instead of hashtables of boxed keys.
 
    Layout (see DESIGN.md §11):
    - entities share one id counter; per-kind attribute arrays are indexed
@@ -24,7 +24,8 @@
 
    Behavioural contract: every observable (traces, errors, counters, flow
    table sizes, RNG draw sequence) is bit-identical to the seed
-   implementation preserved in {!Legacy_fabric}; the equivalence qcheck in
+   implementation preserved in the test-only oracle library
+   ([test/oracle], [Sb_oracle.Legacy_fabric]); the equivalence qcheck in
    [test_dataplane.ml] drives both in lockstep. The one intentional
    exception: DHT key *placement* uses the packed key hash, not the seed's
    structural hash. Placement is unobservable through this API — the ring

@@ -1,9 +1,18 @@
-(** The compiled (packed) data plane (DESIGN.md §11).
+(** The Switchboard data plane (Section 5; DESIGN.md §11): edges, VNF
+    instances and forwarders, over which packets are driven hop by hop.
 
-    Same behavioural contract as the seed fabric — {!Fabric} is a thin
-    [include] of this module, and {!Legacy_fabric} preserves the seed
-    implementation as the equivalence oracle — but compiled to id-dense
-    flat arrays:
+    Every VNF instance and edge instance is attached to exactly one
+    forwarder at its site (Section 5.1: the forwarder is its proxy
+    gateway). Forwarders hold weighted rules keyed by (chain label, egress
+    label, stage) and a flow table that pins each connection's choices,
+    delivering the safety properties of Section 5.3: conformity, flow
+    affinity and symmetric return. The control plane ([sb_ctrl]) drives
+    it through {!Shard}, which mirrors each control call to its lanes.
+
+    The seed implementation (hashtables of boxed keys) survives as the
+    test-only equivalence oracle; this one is compiled to id-dense flat
+    arrays, observably identical (traces, errors, counters, RNG draw
+    sequence):
 
     - per-forwarder rules are an array indexed by an interned
       (chain, egress, stage) id pointing into one shared target arena
@@ -29,15 +38,19 @@
       ({!drive} allocates nothing on the warm path);
     - mutations (rule reinstall, weight change, fail / revive / reattach)
       patch the arrays in place through a journal; dead rule targets are
-      compacted once they dominate the arena.
-
-    See {!Fabric} for the full per-function documentation. *)
+      compacted once they dominate the arena. *)
 
 type t
 
 type endpoint = Edge of int | Forwarder of int | Vnf_instance of int
+(** Values are ids returned by the [add_*] functions. *)
 
-type flow_store = Local | Replicated of int
+type flow_store =
+  | Local  (** per-forwarder flow tables (the prototype's default) *)
+  | Replicated of int
+      (** connection state in a DHT over the forwarder nodes with the
+          given replication factor — the Section 5.3 design that keeps
+          flow affinity and symmetric return across forwarder failures *)
 
 type error =
   | No_rule of { forwarder : int; stage : int }
@@ -49,6 +62,8 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 val create : ?seed:int -> ?flow_store:flow_store -> unit -> t
+(** [seed] drives the weighted load-balancing choices; [flow_store]
+    defaults to {!Local}. *)
 
 val max_entities : int
 (** [2^29]. Sites, forwarders, edges and instances share one id counter,
@@ -69,21 +84,49 @@ val instance_weight : t -> int -> float
 val set_instance_weight : t -> int -> float -> unit
 val instance_alive : t -> int -> bool
 val forwarder_alive : t -> int -> bool
+
 val fail_forwarder : t -> int -> unit
+(** Kill a forwarder. In {!Local} mode its flow table dies with it:
+    established connections lose their state even after their edges and
+    instances are reattached. In {!Replicated} mode the DHT re-replicates
+    the failed node's key ranges from the surviving copies, so reattached
+    traffic keeps its affinity (Section 5.3). *)
+
 val revive_forwarder : t -> int -> unit
+(** Restart a failed forwarder. It comes back {e empty} (its local table
+    is cleared); in {!Replicated} mode it rejoins the ring and receives
+    its key ranges back from the surviving replicas. No-op on a live
+    forwarder. *)
+
 val revive_instance : t -> int -> unit
+(** Bring a failed VNF instance back; flow-table entries pinned to it
+    work again at once (instance state is assumed recoverable). *)
+
 val fail_instance : t -> int -> unit
+(** Kill a VNF instance. Connections pinned to it fail with
+    [Instance_down]; new connections avoid it only once the controller
+    installs updated rules. *)
+
 val reattach_edge : t -> int -> forwarder:int -> unit
+(** Point an edge instance at a (live) forwarder, e.g. after its proxy
+    failed. *)
+
 val reattach_instance : t -> int -> forwarder:int -> unit
+(** Re-home a VNF instance onto another forwarder (scale-in or failure
+    recovery). *)
+
 val forwarder_site : t -> int -> int
 val site_name : t -> int -> string
 
 val attached_instances : t -> forwarder:int -> int list
-(** Maintained incrementally (updated on attach/re-home, like the seed it
-    includes failed instances), not recomputed by folding the instance
-    table per call. *)
+(** VNF instances proxied by a forwarder (id-sorted, failed ones
+    included). Maintained on attach and re-home, not recomputed by folding
+    the instance table per call. *)
 
 val forwarder_published_weight : t -> int -> int -> float
+(** [forwarder_published_weight t fwd vnf]: sum of the weights of [vnf]'s
+    instances attached to [fwd] — what the forwarder publishes on the
+    message bus (Section 5.2). *)
 
 val install_rule :
   t ->
@@ -93,6 +136,9 @@ val install_rule :
   stage:int ->
   (endpoint * float) list ->
   unit
+(** Replace the weighted rule for one (chain, egress, stage) at a
+    forwarder. Existing flow-table entries are untouched, so established
+    connections keep their path (Section 5.3). *)
 
 val install_rx_rule :
   t ->
@@ -102,6 +148,12 @@ val install_rx_rule :
   stage:int ->
   (endpoint * float) list ->
   unit
+(** Replace the {e receiver-side} rule: the targets for packets arriving
+    from a peer forwarder (mid-relay, to be delivered into a local
+    element). Without one the forwarder uses the {!install_rule} rule for
+    both. Keeping relayed packets local bounds every stage of a
+    connection to two forwarders, which the role-keyed replicated flow
+    store depends on. *)
 
 val rule :
   t ->
@@ -175,6 +227,9 @@ val send_forward :
   ?size:int ->
   Packet.five_tuple ->
   (endpoint list, error) result
+(** Inject a forward packet at an ingress edge; returns the full hop trace
+    (ending at an [Edge]) or the first error. Flow-table entries are
+    created for new connections and reused for existing ones. *)
 
 val send_reverse :
   t ->
@@ -184,6 +239,10 @@ val send_reverse :
   ?size:int ->
   Packet.five_tuple ->
   (endpoint list, error) result
+(** Inject the reply at the egress edge; the tuple is the connection's
+    {e forward} orientation. Follows the stored [prev] hops; fails with
+    [No_reverse_entry] if the forward direction never established
+    state. *)
 
 val drive :
   t ->
@@ -200,9 +259,21 @@ val drive :
     EXPERIMENTS.md come from this entry point. *)
 
 val vnfs_in_trace : t -> endpoint list -> int list
+(** VNF ids in visit order — for conformity checks. *)
+
 val instances_in_trace : endpoint list -> int list
+(** VNF instance ids in visit order — for affinity checks. *)
+
 val end_flow : t -> Packet.five_tuple -> unit
+(** Drop every forwarder's entries for a connection, replicas included.
+    O(stages) via the per-connection chain. *)
+
 val transfer_flows : t -> from_instance:int -> to_instance:int -> int
+(** OpenNF-style flow-state transfer (Section 5.3): rewrite every
+    flow-table entry pinning a connection to [from_instance], next and
+    prev hops both, to [to_instance]. Both must run the same VNF (raises
+    [Invalid_argument] otherwise). Returns the number of rewritten
+    entries. *)
 
 val instance_flow_count : t -> int -> int
 (** Number of flow-table cells (across every forwarder table and, in the
@@ -234,11 +305,22 @@ val expire_flows : t -> idle_before:int -> int
     table-local connection evictions (a connection spanning [k]
     forwarders counts [k] times). *)
 
+(** {2 Measurement}
+
+    Global Switchboard sizes chain traffic from measurements at the
+    forwarders (Sections 4.1 and 7.2). Each forwarder counts the forward
+    packets and bytes it delivers into a stage's destination element, so
+    every packet is counted once per stage however many forwarders relay
+    it. *)
+
 val stage_counters :
   t -> chain_label:int -> egress_label:int -> stage:int -> int * int
+(** Aggregated [(packets, bytes)] for one stage of one chain. *)
 
 val site_stage_counters :
   t -> site:int -> chain_label:int -> egress_label:int -> stage:int -> int * int
+(** {!stage_counters} restricted to one site's forwarders; summing over
+    all sites gives {!stage_counters}. *)
 
 val site_stage_counters_into :
   t ->
@@ -255,6 +337,7 @@ val site_stage_counters_into :
     buffers with. *)
 
 val reset_counters : t -> unit
+(** Start a fresh measurement window. *)
 
 (** Hooks for unit tests only. *)
 module For_testing : sig

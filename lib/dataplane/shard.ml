@@ -180,7 +180,7 @@ let send_forward t ~ingress ~chain_label ~egress_label ?size flow =
     ?size flow
 
 let send_reverse t ~egress ~chain_label ~egress_label ?size flow =
-  (* [flow] is forward-oriented (the {!Flow_table.key} contract), so both
+  (* [flow] is forward-oriented (the {!Plane.send_reverse} contract), so both
      directions of a connection hash to the same lane and symmetric-return
      state never crosses domains. *)
   Plane.send_reverse t.lanes.(lane_of t flow) ~egress ~chain_label ~egress_label

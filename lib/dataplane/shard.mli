@@ -6,7 +6,7 @@
     lane's flow table, balancer RNG stream, and stage counters are private:
     the affinity hot path ({!drive}, {!drive_batch}) never takes a lock or
     touches another domain's cache lines. Reverse packets carry the
-    forward-oriented tuple (the {!Flow_table.key} contract), so symmetric
+    forward-oriented tuple (the {!Plane.send_reverse} contract), so symmetric
     return is lane-affine by construction and nothing about a live
     connection ever crosses domains.
 
@@ -58,10 +58,8 @@ val lanes : t -> int
 
 val lane : t -> int -> Plane.t
 (** Direct access to one lane's plane. [lane t 0] of a 1-lane shard is the
-    whole dataplane — the back-compat view {!Sb_ctrl.System.fabric}
-    returns. Mutating a lane directly on a multi-lane shard breaks the
-    mirror alignment; benches use it read-mostly (per-lane capacity runs
-    drive a lane inline with that lane's own partition). *)
+    whole dataplane. Mutating a lane directly on a multi-lane shard breaks
+    the mirror alignment; tests read lanes through it. *)
 
 val lane_of : t -> Packet.five_tuple -> int
 (** Owning lane of a (forward-oriented) 5-tuple. *)
@@ -69,7 +67,7 @@ val lane_of : t -> Packet.five_tuple -> int
 val shutdown : t -> unit
 (** Join the worker pool (no-op for 1 lane, and idempotent). *)
 
-(** {2 Mirrored control plane} — same contracts as the {!Fabric}
+(** {2 Mirrored control plane} — same contracts as the {!Plane}
     functions of the same name; ids returned are valid on every lane. *)
 
 val add_site : t -> string -> int
@@ -202,7 +200,7 @@ val drive_batch :
     worker per lane to drain its ring against its private plane, and the
     join publishes the per-lane delivered counts. Returns the number of
     packets that reached an egress edge. With 1 lane, runs inline with no
-    pool and is bit-identical to a {!Fabric.drive} loop. *)
+    pool and is bit-identical to a {!Plane.drive} loop. *)
 
 val end_flow : t -> Packet.five_tuple -> unit
 (** Connection teardown on the owning lane (the only lane with state). *)
